@@ -19,7 +19,7 @@ honest observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .grid import DomainSpec, Grid, build_grid, measure
 from .kirchhoff import KRMinimum, kr_minimize
 from .maximizer import (RearrangementSpec, SteadyState, make_prototype,
                         maximize, place_prototype)
-from .poisson import PoissonSolver, _difference, solve_poisson
+from .poisson import PoissonSolver, _difference
 
 __all__ = [
     "SweepPlan", "SweepRecord", "SweepResult", "CheckResult", "run_sweep",

@@ -14,7 +14,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import math
 import os
 import sys
 

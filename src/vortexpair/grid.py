@@ -17,7 +17,7 @@ differences).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,14 +213,23 @@ class Grid:
         cx = x0 + (ix + 0.5) * self.h
         cy = y0 + (iy + 0.5) * self.h
         self.cells_xy = np.column_stack([cx, cy])
+        self.neighbors = self.compass(np.arange(self.ncells), 1)
+        self.boundary = (self.neighbors < 0).any(axis=1)
 
-        nbr = np.empty((self.ncells, 4), dtype=np.int64)
+    def compass(self, cells, step: int = 2) -> np.ndarray:
+        """Flat ids `step` cells (left, right, down, up) of `cells`; -1 off the mask.
+
+        Shape `cells.shape + (4,)`.
+        """
+        cells = np.asarray(cells)
+        ix, iy = self.cell_ix[cells], self.cell_iy[cells]
+        out = np.empty(cells.shape + (4,), dtype=np.int64)
         for k, (dx, dy) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
-            jx, jy = ix + dx, iy + dy
-            ok = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
-            nbr[:, k] = np.where(ok, index[jy.clip(0, ny - 1), jx.clip(0, nx - 1)], -1)
-        self.neighbors = nbr
-        self.boundary = (nbr < 0).any(axis=1)
+            jx, jy = ix + step * dx, iy + step * dy
+            ok = (jx >= 0) & (jx < self.nx) & (jy >= 0) & (jy < self.ny)
+            out[..., k] = np.where(
+                ok, self.index[jy.clip(0, self.ny - 1), jx.clip(0, self.nx - 1)], -1)
+        return out
 
     @property
     def cell_area(self) -> float:

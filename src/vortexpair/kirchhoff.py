@@ -8,17 +8,20 @@ For vortex strengths kappa_i at positions x_i the interaction energy is
 with G the Dirichlet Green function and H the Robin function.  Two
 evaluation paths coexist on purpose:
 
-* `kr_value` / `kr_gradient` / `kr_minimize` read G and H from fresh
-  Poisson solves (cached per cell), positions snapped to cell centers.
-  This is the reference path; the optimizer only ever compares such
-  directly evaluated numbers.
+* `kr_value` / `kr_gradient` / `kr_minimize` read G and H from Poisson
+  solves, positions snapped to cell centers.  Each solver keeps one
+  dense Green store: a cell is solved at most once, its Robin value and
+  its solve read at every earlier solved cell fill one row and column,
+  and G(a, b) is read from the column of whichever of a and b was
+  solved later.  This is the reference path; the optimizer only ever
+  compares such directly evaluated numbers.
 
 * `pv_evolve` integrates the vortex ODE with a smooth surrogate: H and
-  the regular part h(x, y) are tabulated on a coarse sub-lattice (one
-  solve per lattice site) and interpolated with quintic splines.  A
-  Runge-Kutta step needs a C^4 right-hand side for its order and for
-  visible conservation of W; per-step finite differences of snapped
-  solves would bury both in cell noise.
+  the regular part h(x, y) are tabulated on a coarse sub-lattice (read
+  from the same store, one solve per lattice site) and interpolated
+  with quintic splines.  A Runge-Kutta step needs a C^4 right-hand side
+  for its order and for visible conservation of W; per-step finite
+  differences of snapped solves would bury both in cell noise.
 
 Positions handed to the solve-backed functions are snapped to the
 containing cell; margins (4h for values, 6h for gradients and descent)
@@ -28,19 +31,21 @@ are enforced against the exact domain geometry.
 from __future__ import annotations
 
 import math
+import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .grid import Grid
-from .poisson import LOG_COEFF, PoissonSolver, green_function
+from .poisson import LOG_COEFF, PoissonSolver, robin_solve
 
 __all__ = [
     "KRConfiguration", "KRMinimum", "PVTrajectory",
     "kr_value", "kr_gradient", "kr_minimize", "pv_evolve",
 ]
+
+_STRIDE = 8  # spacing of the scan and table lattices, in cells
 
 
 @dataclass
@@ -76,53 +81,80 @@ class PVTrajectory:
     note: str = ""
 
 
-# -- scalar caches ---------------------------------------------------------
+# -- Green store -----------------------------------------------------------
 
-class _KRCache:
-    def __init__(self):
-        self.H = {}
-        self.G = {}
-        self.interp = {}
+class _GreenStore:
+    """Dense Green data over the cells solved so far on one solver.
+
+    Row k belongs to the k-th solved cell: `H[k]` is its Robin value and
+    `G[k, :k]` = `G[:k, k]` is its solve read at every earlier solved
+    cell, so G(a, b) comes from the column of whichever of a and b was
+    solved later (the diagonal stays 0).  `row` maps a flat cell id to
+    its row, -1 while unsolved.  Capacity grows by a quarter each time, so
+    k cells hold O(k^2) floats.  The store holds no reference to the
+    solver: it is the value of a weak map keyed by the solver.  A lock
+    makes solving and filling rows atomic across threads.
+    """
+
+    def __init__(self, ncells: int):
+        self._lock = threading.RLock()
+        self.row = np.full(ncells, -1, dtype=np.int64)
+        self.size = 0
+        self.cells = np.zeros(0, dtype=np.int64)
+        self.H = np.zeros(0)
+        self.G = np.zeros((0, 0))
+        self._interp = None
+
+    def interpolant(self, solver: PoissonSolver) -> "_KRInterpolant":
+        """The spline surrogate, built from this store on first use."""
+        with self._lock:
+            if self._interp is None:
+                self._interp = _KRInterpolant(solver)
+            return self._interp
+
+    def rows(self, solver: PoissonSolver, cells) -> np.ndarray:
+        """Rows of `cells`; each cell not seen before is solved once, in order."""
+        cells = np.asarray(cells, dtype=np.int64)
+        with self._lock:
+            new = list(dict.fromkeys(int(c) for c in cells.ravel() if self.row[c] < 0))
+            if self.size + len(new) > self.H.size:
+                self._grow(self.size + len(new))
+            for c in new:
+                k = self.size
+                self.H[k], gf = robin_solve(solver, c)
+                self.G[k, :k] = self.G[:k, k] = gf[self.cells[:k]]
+                self.cells[k] = c
+                self.row[c] = k
+                self.size = k + 1
+            return self.row[cells]
+
+    def _grow(self, need: int) -> None:
+        k, cap = self.size, max(need, self.H.size + self.H.size // 4)
+        H, G, cells = np.zeros(cap), np.zeros((cap, cap)), np.zeros(cap, dtype=np.int64)
+        H[:k], G[:k, :k], cells[:k] = self.H[:k], self.G[:k, :k], self.cells[:k]
+        self.H, self.G, self.cells = H, G, cells
+
+    def value(self, rows, kappas) -> float:
+        """W of vortices at the cells of `rows`."""
+        w = 0.0
+        k = len(rows)
+        for i in range(k):
+            w += 0.5 * kappas[i] ** 2 * self.H[rows[i]]
+            for j in range(i + 1, k):
+                w -= kappas[i] * kappas[j] * self.G[rows[i], rows[j]]
+        return w
 
 
-_caches: "weakref.WeakKeyDictionary[PoissonSolver, _KRCache]" = weakref.WeakKeyDictionary()
+_stores: "weakref.WeakKeyDictionary[PoissonSolver, _GreenStore]" = weakref.WeakKeyDictionary()
+_stores_lock = threading.Lock()
 
 
-def _cache(solver: PoissonSolver) -> _KRCache:
-    c = _caches.get(solver)
-    if c is None:
-        c = _KRCache()
-        _caches[solver] = c
-    return c
-
-
-def _harvest(solver: PoissonSolver, cell: int, query_cells) -> None:
-    """One solve at `cell`; store H(cell) and G(cell, q) for the queries."""
-    g = solver.grid
-    cache = _cache(solver)
-    gf = green_function(solver, cell).values
-    ix, iy = g.cell_ix[cell], g.cell_iy[cell]
-    acc = 0.0
-    for jx, jy in ((ix - 2, iy), (ix + 2, iy), (ix, iy - 2), (ix, iy + 2)):
-        if not (0 <= jx < g.nx and 0 <= jy < g.ny) or g.index[jy, jx] < 0:
-            raise ValueError("robin near boundary unreliable")
-        acc += -LOG_COEFF * math.log(2.0 * g.h) - gf[g.index[jy, jx]]
-    cache.H[cell] = acc / 4.0
-    for q in query_cells:
-        if q != cell:
-            key = (cell, q) if cell < q else (q, cell)
-            cache.G[key] = float(gf[q])
-
-
-def _ensure_scalars(solver: PoissonSolver, cells) -> None:
-    cache = _cache(solver)
-    cells = list(dict.fromkeys(int(c) for c in cells))
-    for c in cells:
-        need = c not in cache.H or any(
-            ((c, q) if c < q else (q, c)) not in cache.G for q in cells if q != c
-        )
-        if need:
-            _harvest(solver, c, cells)
+def _store(solver: PoissonSolver) -> _GreenStore:
+    with _stores_lock:
+        st = _stores.get(solver)
+        if st is None:
+            st = _stores[solver] = _GreenStore(solver.grid.ncells)
+        return st
 
 
 def _snap(solver: PoissonSolver, points: np.ndarray) -> np.ndarray:
@@ -132,12 +164,12 @@ def _snap(solver: PoissonSolver, points: np.ndarray) -> np.ndarray:
     return np.atleast_1d(ids).astype(int)
 
 
-def _check_margins(solver: PoissonSolver, pts: np.ndarray, margin_h: float) -> None:
+def _check_margins(solver: PoissonSolver, pts: np.ndarray, margin: float) -> None:
+    """Boundary clearance >= `margin` (a length) and separations >= 4h."""
     g = solver.grid
-    m = margin_h * g.h
     for x, y in pts:
-        if g.domain.boundary_distance(float(x), float(y)) < m:
-            raise ValueError(f"vortex too close to boundary (need {margin_h:g}h)")
+        if g.domain.boundary_distance(float(x), float(y)) < margin:
+            raise ValueError(f"vortex too close to boundary (need {margin / g.h:g}h)")
     k = pts.shape[0]
     for i in range(k):
         for j in range(i + 1, k):
@@ -145,73 +177,49 @@ def _check_margins(solver: PoissonSolver, pts: np.ndarray, margin_h: float) -> N
                 raise ValueError("vortex positions closer than 4h")
 
 
-def _value_from_cache(solver: PoissonSolver, cells, kappas) -> float:
-    cache = _cache(solver)
-    w = 0.0
-    k = len(cells)
-    for i in range(k):
-        w += 0.5 * kappas[i] ** 2 * cache.H[cells[i]]
-        for j in range(i + 1, k):
-            a, b = cells[i], cells[j]
-            key = (a, b) if a < b else (b, a)
-            w -= kappas[i] * kappas[j] * cache.G[key]
-    return w
-
-
 def kr_value(solver: PoissonSolver, cfg: KRConfiguration) -> float:
     """W at the configuration, positions snapped to cell centers.
 
     Needs pairwise separations and boundary clearance of at least 4h.
     """
-    _check_margins(solver, cfg.points, 4.0)
+    _check_margins(solver, cfg.points, 4.0 * solver.grid.h)
     cells = _snap(solver, cfg.points)
     if np.unique(cells).size < cells.size:
         raise ValueError("vortex positions collide at cell granularity")
-    _ensure_scalars(solver, cells)
-    return _value_from_cache(solver, list(cells), list(cfg.kappas))
+    store = _store(solver)
+    return store.value(store.rows(solver, cells), cfg.kappas)
 
 
 def kr_gradient(solver: PoissonSolver, cfg: KRConfiguration) -> np.ndarray:
     """Central differences of kr_value with step 2h; needs 6h margins."""
     g = solver.grid
-    _check_margins(solver, cfg.points, 6.0)
+    _check_margins(solver, cfg.points, 6.0 * g.h)
     base = _snap(solver, cfg.points)
+    probes = g.compass(base, 2)  # (k, 4): left, right, down, up
+    if (probes < 0).any():
+        raise ValueError("gradient stencil leaves the domain")
+    store = _store(solver)
+    rows = store.rows(solver, np.concatenate([base, probes.ravel()]))
+    rb, rp = rows[:base.size], rows[base.size:].reshape(probes.shape)
     step = 2.0 * g.h
-    k = base.size
-    # gather every perturbed cell once so each distinct source solves once
-    all_cells = set(int(c) for c in base)
-    probes = np.empty((k, 2, 2), dtype=int)  # vortex, coord, +/-
-    for i in range(k):
-        ix, iy = g.cell_ix[base[i]], g.cell_iy[base[i]]
-        for c, (dx, dy) in enumerate(((1, 0), (0, 1))):
-            for s, sgn in enumerate((1, -1)):
-                jx, jy = ix + sgn * 2 * dx, iy + sgn * 2 * dy
-                if not (0 <= jx < g.nx and 0 <= jy < g.ny) or g.index[jy, jx] < 0:
-                    raise ValueError("gradient stencil leaves the domain")
-                probes[i, c, s] = g.index[jy, jx]
-                all_cells.add(int(g.index[jy, jx]))
-    _ensure_scalars(solver, all_cells)
-    kap = list(cfg.kappas)
-    grad = np.zeros((k, 2))
-    for i in range(k):
+    grad = np.zeros((base.size, 2))
+    for i in range(base.size):
         for c in range(2):
-            cells_hi = list(base)
-            cells_hi[i] = int(probes[i, c, 0])
-            cells_lo = list(base)
-            cells_lo[i] = int(probes[i, c, 1])
-            w_hi = _value_from_cache(solver, cells_hi, kap)
-            w_lo = _value_from_cache(solver, cells_lo, kap)
+            hi, lo = rb.copy(), rb.copy()
+            hi[i], lo[i] = rp[i, 2 * c + 1], rp[i, 2 * c]
+            w_hi = store.value(hi, cfg.kappas)
+            w_lo = store.value(lo, cfg.kappas)
             grad[i, c] = (w_hi - w_lo) / (2.0 * step)
     return grad
 
 
 # -- minimization ----------------------------------------------------------
 
-def _scan_lattice(solver: PoissonSolver, margin_h: float, stride: int):
+def _scan_lattice(solver: PoissonSolver, margin_h: float):
     g = solver.grid
     ids = []
-    for iy in range(stride // 2, g.ny, stride):
-        for ix in range(stride // 2, g.nx, stride):
+    for iy in range(_STRIDE // 2, g.ny, _STRIDE):
+        for ix in range(_STRIDE // 2, g.nx, _STRIDE):
             cid = g.index[iy, ix]
             if cid < 0:
                 continue
@@ -235,18 +243,14 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
     if kappas.shape != (2,) or not (kappas[0] > 0 > kappas[1]):
         raise ValueError("kr_minimize expects strengths (positive, negative)")
     g = solver.grid
-    sites = _scan_lattice(solver, margin_h, 8)
+    sites = _scan_lattice(solver, margin_h)
     if len(sites) < 2:
         raise ValueError("domain too small for the scan lattice")
-    _ensure_scalars(solver, sites)
-    cache = _cache(solver)
+    store = _store(solver)
+    r = store.rows(solver, sites)
     m = len(sites)
-    H = np.array([cache.H[c] for c in sites])
-    Gt = np.zeros((m, m))
-    for a in range(m):
-        for b in range(a + 1, m):
-            ca, cb = sites[a], sites[b]
-            Gt[a, b] = Gt[b, a] = cache.G[(ca, cb) if ca < cb else (cb, ca)]
+    H = store.H[r]
+    Gt = store.G[np.ix_(r, r)]
     W = (-kappas[0] * kappas[1] * Gt
          + 0.5 * kappas[0] ** 2 * H[:, None]
          + 0.5 * kappas[1] ** 2 * H[None, :])
@@ -273,12 +277,11 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
 
     def snapped_value(p):
         try:
-            _check_margins(solver, p, margin_h)
+            _check_margins(solver, p, margin_h * g.h)
             cells = _snap(solver, p)
             if np.unique(cells).size < cells.size:
                 return np.inf, None
-            _ensure_scalars(solver, cells)
-            return _value_from_cache(solver, list(cells), list(kappas)), cells
+            return store.value(store.rows(solver, cells), kappas), cells
         except ValueError:
             return np.inf, None
 
@@ -325,26 +328,22 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
 def _parabolic_refine(solver, p0, cells0, kappas, w0):
     """Sub-cell vertex estimate from W at +-2 cells along each coordinate."""
     g = solver.grid
+    store = _store(solver)
     refined = p0.astype(float).copy()
+    probes = g.compass(cells0, 2)  # (k, 4): left, right, down, up
     for i in range(p0.shape[0]):
-        ix, iy = g.cell_ix[cells0[i]], g.cell_iy[cells0[i]]
-        for c, (dx, dy) in enumerate(((1, 0), (0, 1))):
-            jhi = (iy + 2 * dy, ix + 2 * dx)
-            jlo = (iy - 2 * dy, ix - 2 * dx)
-            ok = all(0 <= jy < g.ny and 0 <= jx < g.nx and g.index[jy, jx] >= 0
-                     for jy, jx in (jhi, jlo))
-            if not ok:
+        for c in range(2):
+            lo, hi = probes[i, 2 * c], probes[i, 2 * c + 1]
+            if lo < 0 or hi < 0:
                 continue
-            cells_hi = list(cells0)
-            cells_hi[i] = int(g.index[jhi])
-            cells_lo = list(cells0)
-            cells_lo[i] = int(g.index[jlo])
+            cells_hi, cells_lo = cells0.copy(), cells0.copy()
+            cells_hi[i], cells_lo[i] = hi, lo
             try:
-                _ensure_scalars(solver, set(cells_hi) | set(cells_lo))
+                rows = store.rows(solver, [cells_hi, cells_lo])
             except ValueError:
                 continue
-            whi = _value_from_cache(solver, cells_hi, list(kappas))
-            wlo = _value_from_cache(solver, cells_lo, list(kappas))
+            whi = store.value(rows[0], kappas)
+            wlo = store.value(rows[1], kappas)
             curv = whi - 2.0 * w0 + wlo
             if curv <= 0:
                 continue
@@ -353,21 +352,29 @@ def _parabolic_refine(solver, p0, cells0, kappas, w0):
     return refined
 
 
+def robin_scan_center(solver: PoissonSolver, margin_h: float = 6.0) -> np.ndarray:
+    """Scan-lattice site of least Robin value: the single-signed KR seed."""
+    sites = _scan_lattice(solver, margin_h)
+    store = _store(solver)
+    r = store.rows(solver, sites)
+    return solver.grid.cells_xy[sites[int(np.argmin(store.H[r]))]]
+
+
 # -- smooth surrogate for the vortex ODE -----------------------------------
 
 class _KRInterpolant:
     """Quintic-spline tables for H(x) and the regular part h(x, y).
 
-    Built from one Poisson solve per admissible lattice site (stride
-    cells apart); sites without clearance borrow the nearest valid
-    site's data, which only matters outside the trust margin where
-    trajectories abort anyway.
+    Built from the Green store over the admissible lattice sites (one
+    solve per site not solved before); sites without clearance borrow
+    the nearest valid site's data, which only matters outside the trust
+    margin where trajectories abort anyway.
     """
 
-    def __init__(self, solver: PoissonSolver, stride: int = 8):
+    def __init__(self, solver: PoissonSolver):
         g = solver.grid
         self.grid = g
-        self.stride = int(stride)
+        self.stride = stride = _STRIDE
         ix = np.arange(stride // 2, g.nx, stride)
         iy = np.arange(stride // 2, g.ny, stride)
         if ix.size < 6 or iy.size < 6:
@@ -383,23 +390,20 @@ class _KRInterpolant:
                            for b in range(my)] for a in range(mx)])
         valid = (cid >= 0) & (clear >= 4.0 * g.h)
 
+        store = _store(solver)
+        r = store.rows(solver, cid[valid])
         Hlat = np.zeros((mx, my))
+        Hlat[valid] = store.H[r]
+        px, py = cx[valid], cy[valid]
+        d = np.hypot(px[:, None] - px[None, :], py[:, None] - py[None, :])
+        np.fill_diagonal(d, 1.0)
+        # libm log, elementwise: np.log differs from it in the last bit
+        logd = np.array([math.log(x) for x in d.ravel()]).reshape(d.shape)
+        hv = -LOG_COEFF * logd - store.G[np.ix_(r, r)]
+        np.fill_diagonal(hv, store.H[r])
+        a, b = np.nonzero(valid)
         hreg = np.zeros((mx, my, mx, my))
-        vidx = np.argwhere(valid)
-        vcells = [int(cid[a, b]) for a, b in vidx]
-        cache = _cache(solver)
-        for (a, b), c in zip(vidx, vcells):
-            _harvest(solver, c, vcells)
-            Hlat[a, b] = cache.H[c]
-        pts = np.stack([cx, cy], axis=-1)
-        for (a, b), c in zip(vidx, vcells):
-            for (a2, b2), c2 in zip(vidx, vcells):
-                if c == c2:
-                    hreg[a, b, a2, b2] = Hlat[a, b]
-                    continue
-                key = (c, c2) if c < c2 else (c2, c)
-                d = np.hypot(*(pts[a, b] - pts[a2, b2]))
-                hreg[a, b, a2, b2] = -LOG_COEFF * math.log(d) - cache.G[key]
+        hreg[a[:, None], b[:, None], a[None, :], b[None, :]] = hv
 
         # borrow nearest valid site for the masked-out corners of the box
         if not valid.all():
@@ -456,15 +460,8 @@ class _KRInterpolant:
         return grad
 
 
-def _interpolant(solver: PoissonSolver, stride: int) -> _KRInterpolant:
-    cache = _cache(solver)
-    if stride not in cache.interp:
-        cache.interp[stride] = _KRInterpolant(solver, stride)
-    return cache.interp[stride]
-
-
 def pv_evolve(solver: PoissonSolver, cfg: KRConfiguration, T: float, dt: float,
-              save_stride: int = 1, stride: int = 8) -> PVTrajectory:
+              save_stride: int = 1) -> PVTrajectory:
     """Classical RK4 for dx_i/dt = (1/kappa_i) grad^perp_{x_i} W.
 
     W is the spline surrogate (see module docstring), so the reported
@@ -474,20 +471,15 @@ def pv_evolve(solver: PoissonSolver, cfg: KRConfiguration, T: float, dt: float,
     """
     if dt <= 0 or T <= 0:
         raise ValueError("need positive T and dt")
-    interp = _interpolant(solver, stride)
-    g = solver.grid
+    interp = _store(solver).interpolant(solver)
     kap = cfg.kappas
     inv = (1.0 / kap)[:, None]
 
     def ok(pts):
-        for x, y in pts:
-            if g.domain.boundary_distance(float(x), float(y)) < interp.trust_margin:
-                return False
-        k = pts.shape[0]
-        for i in range(k):
-            for j in range(i + 1, k):
-                if np.hypot(*(pts[i] - pts[j])) < 4.0 * g.h:
-                    return False
+        try:
+            _check_margins(solver, pts, interp.trust_margin)
+        except ValueError:
+            return False
         return True
 
     def rhs(pts):

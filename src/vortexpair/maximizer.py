@@ -25,14 +25,14 @@ Iteration stops at an exact fixed point of the assignment map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import (ScalarField, center_of_mass, lp_norm, negative_part,
                      positive_part, support_diameter)
 from .grid import Grid
-from .kirchhoff import kr_minimize
+from .kirchhoff import kr_minimize, robin_scan_center
 from .poisson import PoissonSolver, solve_poisson, velocity
 
 __all__ = [
@@ -213,17 +213,6 @@ class SteadyState:
         return np.nonzero(self.zeta.values < 0)[0]
 
 
-def _robin_scan_center(solver: PoissonSolver, margin_h: float = 6.0):
-    # coarse Robin-function scan for seeding the single-signed case
-    from .kirchhoff import _cache, _ensure_scalars, _scan_lattice
-
-    sites = _scan_lattice(solver, margin_h, 8)
-    _ensure_scalars(solver, sites)
-    cache = _cache(solver)
-    hv = np.array([cache.H[c] for c in sites])
-    return solver.grid.cells_xy[sites[int(np.argmin(hv))]]
-
-
 def _seed_field(solver: PoissonSolver, proto: Prototype, init, max_tries=10000):
     g = solver.grid
     spec = proto.spec
@@ -231,7 +220,7 @@ def _seed_field(solver: PoissonSolver, proto: Prototype, init, max_tries=10000):
         if proto.n_neg:
             km = kr_minimize(solver, (spec.kappa1, spec.kappa2))
             return place_prototype(g, proto, km.points[0], km.points[1])
-        return place_prototype(g, proto, _robin_scan_center(solver))
+        return place_prototype(g, proto, robin_scan_center(solver))
     kind = init[0] if isinstance(init, tuple) else init
     if kind == "random":
         rng = np.random.default_rng(init[1])

@@ -153,33 +153,42 @@ def regular_part(solver: PoissonSolver, x, y) -> float:
     return -LOG_COEFF * math.log(dist) - Gxy
 
 
+def robin_solve(solver: PoissonSolver, cid: int):
+    """One unit-charge solve at cell `cid` and the Robin value read from it.
+
+    H is the mean of h(x, x + delta e) over the four compass cells at
+    delta = 2h, summed in compass order and then divided by 4; with the
+    charge at x, G(x, x + delta e) is read at those cells through the
+    symmetry of the discrete operator.  Returns (H, G(., x) values) and
+    raises before solving when the stencil leaves the mask.
+    """
+    g = solver.grid
+    ids = g.compass(cid, 2)
+    if (ids < 0).any():
+        raise ValueError("robin near boundary unreliable")
+    gf = green_function(solver, cid).values
+    acc = 0.0
+    for v in gf[ids]:
+        acc += -LOG_COEFF * math.log(2.0 * g.h) - v
+    return acc / 4.0, gf
+
+
 def robin(solver: PoissonSolver, x) -> float:
     """Robin function H(x) by 4-direction averaging at offset 2h.
 
-    One solve: with the charge at x, G(x, x + delta e) is read at the
-    four offset cells through the symmetry of the discrete operator.
-    The first-order terms of h(x, x + delta e) cancel in the average,
-    leaving H(x) + O(h^2).
+    One solve (see `robin_solve`).  The first-order terms of
+    h(x, x + delta e) cancel in the average, leaving H(x) + O(h^2).
     """
     g = solver.grid
     cid = _source_cell(solver, x)
     if g.boundary_clearance(*g.cells_xy[cid]) < 4.0 * g.h:
         raise ValueError("robin near boundary unreliable")
-    ix, iy = g.cell_ix[cid], g.cell_iy[cid]
-    offsets = ((ix - 2, iy), (ix + 2, iy), (ix, iy - 2), (ix, iy + 2))
-    ids = []
-    for jx, jy in offsets:
-        if not (0 <= jx < g.nx and 0 <= jy < g.ny) or g.index[jy, jx] < 0:
-            raise ValueError("robin near boundary unreliable")
-        ids.append(g.index[jy, jx])
-    Gvals = green_function(solver, cid).values[ids]
-    delta = 2.0 * g.h
-    return float(np.mean(-LOG_COEFF * math.log(delta) - Gvals))
+    return float(robin_solve(solver, cid)[0])
 
 
 def velocity(solver: PoissonSolver, psi: ScalarField) -> VectorField:
     """v = (d2 psi, -d1 psi): central differences, one-sided at the closure."""
-    g = solver.grid if isinstance(solver, PoissonSolver) else solver
+    g = solver.grid
     if psi.grid is not g:
         raise ValueError("field lives on a different grid")
     dx = _difference(g, psi.values, axis=0)

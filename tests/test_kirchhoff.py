@@ -1,9 +1,33 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import vortexpair as vp
 
 D_STAR = np.sqrt(np.sqrt(5.0) - 2.0)  # root of d^4 + 4 d^2 - 1 = 0
+
+
+def fresh_disk64():
+    return vp.PoissonSolver(vp.build_grid(vp.DomainSpec.unit_disk(), 64))
+
+
+# interior cells of the disk-64 grid with room for gradient stencils
+_G64 = vp.build_grid(vp.DomainSpec.unit_disk(), 64)
+_INTERIOR = [int(c) for c in range(_G64.ncells)
+             if _G64.boundary_clearance(*_G64.cells_xy[c]) >= 7.0 * _G64.h]
+cells64 = st.sampled_from(_INTERIOR)
+pairs64 = st.tuples(cells64, cells64)
+
+
+def _separated(cells):
+    a, b = _G64.cells_xy[list(cells)]
+    return np.hypot(*(a - b)) >= 5.0 * _G64.h
 
 
 def cfg(points, kappas):
@@ -175,3 +199,88 @@ def test_pv_truncates_on_margin_exit(disk96):
     assert not tr.completed
     assert tr.times[-1] < 50.0
     assert "margin" in tr.note
+
+
+# -- Green store properties -------------------------------------------------
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(pairs64, st.booleans()), min_size=1, max_size=4))
+def test_each_cell_solves_once(evals):
+    solver = fresh_disk64()
+    g = solver.grid
+    seen = set()
+    for pair, gradient in evals:
+        assume(_separated(pair))
+        c = cfg(g.cells_xy[list(pair)], [1.0, -1.0])
+        cells = set(pair)
+        if gradient:
+            cells |= set(g.compass(np.array(pair), 2).ravel().tolist())
+        before = solver.solve_count
+        (vp.kr_gradient if gradient else vp.kr_value)(solver, c)
+        assert solver.solve_count - before == len(cells - seen)
+        seen |= cells
+
+
+@settings(max_examples=20, deadline=None)
+@given(pairs64, st.lists(pairs64, min_size=1, max_size=3))
+def test_kr_value_independent_of_history(pair, others):
+    assume(_separated(pair) and all(_separated(o) for o in others))
+    c = cfg(_G64.cells_xy[list(pair)], [1.0, -2.0])
+    first = vp.kr_value(fresh_disk64(), c)
+    solver = fresh_disk64()
+    for o in others:
+        vp.kr_gradient(solver, cfg(_G64.cells_xy[list(o)], [1.0, -1.0]))
+    assert vp.kr_value(solver, c) == pytest.approx(first, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(pairs64)
+def test_green_symmetry(pair):
+    a, b = pair
+    assume(a != b)
+    solver = fresh_disk64()
+    ga = vp.green_function(solver, a).values
+    gb = vp.green_function(solver, b).values
+    scale = max(np.abs(ga).max(), np.abs(gb).max())
+    assert abs(ga[b] - gb[a]) <= 1e-12 * scale
+
+
+def test_store_keeps_no_solver_alive():
+    solver = fresh_disk64()
+    vp.kr_value(solver, cfg([[0.3, 0.0], [-0.3, 0.0]], [1.0, -1.0]))
+    vp.pv_evolve(solver, cfg([[0.2, 0.0], [-0.2, 0.0]], [1.0, 1.0]),
+                 T=1e-3, dt=1e-3)
+    ref = weakref.ref(solver)
+    del solver
+    gc.collect()
+    assert ref() is None
+
+
+def test_store_shared_by_threads():
+    pairs = [((0.3, 0.0), (-0.3, 0.0)), ((0.3, 0.0), (0.0, 0.3)),
+             ((-0.3, 0.0), (0.0, 0.3)), ((0.0, -0.3), (0.0, 0.3))]
+    serial = fresh_disk64()
+    expect = [vp.kr_value(serial, cfg(p, [1.0, -1.0])) for p in pairs]
+    solver = fresh_disk64()
+    results = {}
+
+    def work(t):
+        for j in range(len(pairs)):
+            i = (t + j) % len(pairs)
+            results[t, i] = vp.kr_value(solver, cfg(pairs[i], [1.0, -1.0]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert solver.solve_count == serial.solve_count
+    for (t, i), w in results.items():
+        assert w == pytest.approx(expect[i], rel=1e-12, abs=0.0)
+    assert len(results) == 6 * len(pairs)
