@@ -31,7 +31,7 @@ from .fields import (hardy_littlewood_suite, lp_norm, riesz_suite,
 from .grid import DomainSpec, build_grid
 from .kirchhoff import KRConfiguration, kr_minimize, pv_evolve
 from .maximizer import RearrangementSpec, maximize
-from .poisson import PoissonSolver, SolveError
+from .poisson import REFINE_TOL, PoissonSolver, SolveError
 
 __all__ = ["main", "ConfigError"]
 
@@ -110,6 +110,10 @@ def load_config(path: str) -> _Cfg:
     except (UnicodeDecodeError, configparser.Error) as exc:
         # configparser errors carry the offending line number
         raise ConfigError(f"config parse error: {exc}") from None
+    if cp.has_option("solver", "tol"):
+        # an old config must not silently change meaning
+        raise ConfigError("[solver] tol: no longer a setting; every solve "
+                          f"refines to {REFINE_TOL!r} and fails above 1e-10")
     return _Cfg(cp, path, raw)
 
 
@@ -159,9 +163,34 @@ def _spec_from(cfg: _Cfg, eps1: float, eps2: float) -> RearrangementSpec:
         raise ConfigError(f"[vortex] invalid: {exc}") from None
 
 
-def _provenance(cfg: _Cfg, n: int, tol: float) -> dict:
-    return {"config_sha256": cfg.sha256, "grid_n": n, "solver_tol": tol,
-            "version": __version__}
+def _provenance(cfg: _Cfg, n: int) -> dict:
+    return {"config_sha256": cfg.sha256, "grid_n": n,
+            "solver_tol": REFINE_TOL, "version": __version__}
+
+
+def _solver(cfg: _Cfg, n: int):
+    """Solver on the configured domain at n cells per unit length, and
+    the provenance of every file the run writes."""
+    return PoissonSolver(build_grid(_domain(cfg), n)), _provenance(cfg, n)
+
+
+def _steady_state(cfg: _Cfg, solver: PoissonSolver, seed: int,
+                  residual_tests: int):
+    """Maximizer for the [steady] section on the solver's grid."""
+    n = solver.grid.n
+    eps1 = cfg.get("steady", "eps1", float)
+    eps2 = cfg.get("steady", "eps2", float, eps1)
+    spec = _spec_from(cfg, eps1, eps2)
+    _check_resolution(eps1, n, "[steady] eps1")
+    if spec.eps2 > 0:
+        _check_resolution(eps2, n, "[steady] eps2")
+    init_kind = cfg.get("steady", "init", str, "kr_seed").strip()
+    if init_kind not in ("kr_seed", "random"):
+        raise ConfigError(f"[steady] init: unknown init {init_kind!r}")
+    init = "kr_seed" if init_kind == "kr_seed" else ("random", seed)
+    return maximize(solver, spec, init=init,
+                    max_iter=cfg.get("steady", "max_iter", int, 500),
+                    residual_tests=residual_tests, residual_seed=seed)
 
 
 def _prov_lines(prov: dict):
@@ -223,28 +252,12 @@ def _domain_dict(dom: DomainSpec) -> dict:
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_steady(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
-    dom = _domain(cfg)
-    n = _grid_n(cfg)
-    tol = cfg.get("solver", "tol", float, 1e-13)
-    eps1 = cfg.get("steady", "eps1", float)
-    eps2 = cfg.get("steady", "eps2", float, eps1)
-    spec = _spec_from(cfg, eps1, eps2)
-    _check_resolution(eps1, n, "[steady] eps1")
-    if spec.eps2 > 0:
-        _check_resolution(eps2, n, "[steady] eps2")
-    init_kind = cfg.get("steady", "init", str, "kr_seed").strip()
-    if init_kind not in ("kr_seed", "random"):
-        raise ConfigError(f"[steady] init: unknown init {init_kind!r}")
-    init = "kr_seed" if init_kind == "kr_seed" else ("random", seed)
-
-    solver = PoissonSolver(build_grid(dom, n), tol=tol)
-    state = maximize(solver, spec, init=init,
-                     max_iter=cfg.get("steady", "max_iter", int, 500),
-                     residual_tests=cfg.get("steady", "residual_tests", int, 12),
-                     residual_seed=seed)
-
-    prov = _provenance(cfg, n, tol)
+def cmd_steady(cfg: _Cfg, outdir: str, seed: int) -> int:
+    solver, prov = _solver(cfg, _grid_n(cfg))
+    state = _steady_state(
+        cfg, solver, seed,
+        residual_tests=cfg.get("steady", "residual_tests", int, 12))
+    spec = state.spec
     lines = _prov_lines(prov)
     files = {}
     for name, field in (("zeta", state.zeta), ("psi", state.psi)):
@@ -256,8 +269,8 @@ def cmd_steady(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
         files[name + "_pgm"] = pgm
     payload = {
         "provenance": prov,
-        "domain": _domain_dict(dom),
-        "grid": {"n": n, "h": solver.grid.h},
+        "domain": _domain_dict(solver.grid.domain),
+        "grid": {"n": solver.grid.n, "h": solver.grid.h},
         "spec": {"eps1": spec.eps1, "eps2": spec.eps2,
                  "kappa1": spec.kappa1, "kappa2": spec.kappa2,
                  "p": spec.p, "profile": spec.profile, "gamma": spec.gamma},
@@ -281,9 +294,10 @@ def cmd_steady(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
 
 
 def cmd_sweep(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
+    if jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     dom = _domain(cfg)
     n_default = _grid_n(cfg)
-    tol = cfg.get("solver", "tol", float, 1e-13)
     eps = cfg.get("sweep", "eps", _parse_float_list)
     if not eps:
         raise ConfigError("[sweep] eps: empty eps list")
@@ -317,7 +331,7 @@ def cmd_sweep(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
     checks += profile_convergence(result)
     checks += ascent_check(result)
 
-    prov = _provenance(cfg, max(ns), tol)
+    prov = _provenance(cfg, max(ns))
     header = ["eps1", "eps2", "n", "energy", "energy_pos", "energy_neg",
               "interaction", "mu1", "mu2", "diam_pos", "diam_neg",
               "center_pos_x", "center_pos_y", "center_neg_x", "center_neg_y",
@@ -347,23 +361,21 @@ def cmd_sweep(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
     return 0 if all_pass else 2
 
 
-def cmd_krmin(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
-    dom = _domain(cfg)
-    n = _grid_n(cfg)
-    tol = cfg.get("solver", "tol", float, 1e-13)
+def cmd_krmin(cfg: _Cfg, outdir: str, seed: int) -> int:
+    solver, prov = _solver(cfg, _grid_n(cfg))
+    dom = solver.grid.domain
     k1 = cfg.get("vortex", "kappa1", float, 1.0)
     k2 = cfg.get("vortex", "kappa2", float, -1.0)
     if not (k1 > 0 > k2):
         raise ConfigError("[vortex] kappa: minimization covers the "
                           "kappa1 > 0 > kappa2 regime only "
                           f"(got kappa1={k1:g}, kappa2={k2:g})")
-    solver = PoissonSolver(build_grid(dom, n), tol=tol)
     res = kr_minimize(solver, (k1, k2),
                       margin_h=cfg.get("kr", "margin_h", float, 6.0),
                       starts=cfg.get("kr", "starts", int, 3),
                       max_iter=cfg.get("kr", "max_iter", int, 100))
     payload = {
-        "provenance": _provenance(cfg, n, tol),
+        "provenance": prov,
         "domain": _domain_dict(dom),
         "kappas": [k1, k2],
         "points": res.points,
@@ -378,16 +390,12 @@ def cmd_krmin(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
     return 0
 
 
-def cmd_evolve(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
-    dom = _domain(cfg)
-    n = _grid_n(cfg)
-    tol = cfg.get("solver", "tol", float, 1e-13)
+def cmd_evolve(cfg: _Cfg, outdir: str, seed: int) -> int:
     mode = cfg.get("evolve", "mode", str, "pv").strip().lower()
     if mode not in ("pv", "pde"):
         raise ConfigError(f"[evolve] mode: unknown mode {mode!r} "
                           "(expected pv or pde)")
-    solver = PoissonSolver(build_grid(dom, n), tol=tol)
-    prov = _provenance(cfg, n, tol)
+    solver, prov = _solver(cfg, _grid_n(cfg))
 
     if mode == "pv":
         k1 = cfg.get("vortex", "kappa1", float, 1.0)
@@ -415,20 +423,12 @@ def cmd_evolve(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
                    header, rows)
         return 0 if traj.completed else 2
 
-    eps1 = cfg.get("steady", "eps1", float)
-    eps2 = cfg.get("steady", "eps2", float, eps1)
-    spec = _spec_from(cfg, eps1, eps2)
-    _check_resolution(eps1, n, "[steady] eps1")
-    if spec.eps2 > 0:
-        _check_resolution(eps2, n, "[steady] eps2")
-    state = maximize(solver, spec, init="kr_seed",
-                     max_iter=cfg.get("steady", "max_iter", int, 500),
-                     residual_tests=0, residual_seed=seed)
+    state = _steady_state(cfg, solver, seed, residual_tests=0)
     rel = cfg.get("evolve", "delta0_rel", float, 0.0)
     if not 0.0 <= rel <= 0.1:
         raise ConfigError("[evolve] delta0_rel: perturbation must satisfy "
                           "0 <= delta0_rel <= 0.1 (fraction of ||zeta||_p)")
-    delta0 = rel * lp_norm(state.zeta, spec.p)
+    delta0 = rel * lp_norm(state.zeta, state.spec.p)
     dt = cfg.get("evolve", "dt", float, None)
     res = stability_experiment(
         solver, state, delta0,
@@ -445,20 +445,17 @@ def cmd_evolve(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
     return 0 if not res.aborted else 2
 
 
-def cmd_diagnose(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
-    dom = _domain(cfg)
-    n = cfg.get("diagnose", "n", int, 128)
-    tol = cfg.get("solver", "tol", float, 1e-13)
+def cmd_diagnose(cfg: _Cfg, outdir: str, seed: int) -> int:
+    solver, prov = _solver(cfg, cfg.get("diagnose", "n", int, 128))
     instances = cfg.get("diagnose", "instances", int, 100)
     p = cfg.get("vortex", "p", float, 2.0)
 
     hl = hardy_littlewood_suite(instances=instances, seed=seed)
     rz = riesz_suite(instances=instances, seed=seed)
-    solver = PoissonSolver(build_grid(dom, n), tol=tol)
     gm = gradient_measure_diagnostic(solver, p=p, seed=seed)
     growth_ok = gm.growth() <= 2.0
     payload = {
-        "provenance": _provenance(cfg, n, tol),
+        "provenance": prov,
         "hardy_littlewood": hl.to_dict(),
         "riesz": rz.to_dict(),
         "gradient_measure": {"radii": gm.radii, "max_ratio": gm.max_ratio,
@@ -470,8 +467,8 @@ def cmd_diagnose(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
     return 0 if payload["all_pass"] else 2
 
 
-_COMMANDS = {"steady": cmd_steady, "sweep": cmd_sweep, "krmin": cmd_krmin,
-             "evolve": cmd_evolve, "diagnose": cmd_diagnose}
+_COMMANDS = {"steady": cmd_steady, "krmin": cmd_krmin, "evolve": cmd_evolve,
+             "diagnose": cmd_diagnose}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -495,7 +492,10 @@ def _build_parser() -> _Parser:
         sp.add_argument("--config", required=True, help="INI config file")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1)
+        if name == "sweep":
+            sp.add_argument("--jobs", type=int, default=1,
+                            help="threads for the eps points; outputs "
+                                 "do not depend on it")
     return parser
 
 
@@ -506,9 +506,9 @@ def main(argv=None) -> int:
         outdir = (args.out or os.environ.get("VORTEXPAIR_OUT")
                   or cfg.get("output", "dir", str, "out"))
         os.makedirs(outdir, exist_ok=True)
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
-        return _COMMANDS[args.command](cfg, outdir, args.seed, args.jobs)
+        if args.command == "sweep":
+            return cmd_sweep(cfg, outdir, args.seed, args.jobs)
+        return _COMMANDS[args.command](cfg, outdir, args.seed)
     except ConfigError as exc:
         print(f"vortexpair: error: {exc}", file=sys.stderr)
         return 1

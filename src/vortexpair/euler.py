@@ -173,7 +173,7 @@ def _rotate_once(grid, box, xy, th):
     return _bilinear_box(grid, box, px, py)
 
 
-def _orbit_distance(grid, box, xy, vals, coarse, p, h2p, znorm, angles):
+def _orbit_distance(grid, box, xy, vals, coarse, p, h2p, znorm):
     """Distance to the rotation orbit: coarse scan, then golden refine.
 
     The coarse bin width (10 degrees at the default 36) costs a large
@@ -257,8 +257,7 @@ def stability_experiment(solver: PoissonSolver, steady: SteadyState,
             return (s * h2p) ** (1.0 / p) / znorm
     else:
         def dist(vals):
-            return _orbit_distance(g, zbox, xy, vals, rots, p, h2p, znorm,
-                                   nang)
+            return _orbit_distance(g, zbox, xy, vals, rots, p, h2p, znorm)
 
     peak = float(np.abs(zeta.values).max())
     turnover = 4.0 * math.pi / peak

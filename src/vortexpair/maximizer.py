@@ -159,9 +159,12 @@ def _in_class(proto: Prototype, f: ScalarField) -> bool:
             and np.array_equal(pos, proto.pos) and np.array_equal(neg, proto.neg))
 
 
-def energy(solver: PoissonSolver, f: ScalarField) -> float:
-    psi = solve_poisson(solver, f)
+def _energy(f: ScalarField, psi: ScalarField) -> float:
     return 0.5 * float((f.values * psi.values).sum()) * f.grid.cell_area
+
+
+def energy(solver: PoissonSolver, f: ScalarField) -> float:
+    return _energy(f, solve_poisson(solver, f))
 
 
 def best_response(proto: Prototype, psi: ScalarField) -> ScalarField:
@@ -260,17 +263,17 @@ def maximize(solver: PoissonSolver, spec: RearrangementSpec, init="kr_seed",
     hitting max_iter (or entering a nontrivial cycle) returns a state
     flagged non-converged instead of raising.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1 (got {max_iter})")
     proto = make_prototype(spec, solver.grid)
     zeta = _seed_field(solver, proto, init)
-    h2 = solver.grid.cell_area
     log = []
     converged = False
     note = ""
     seen: dict[bytes, int] = {}
     psi = solve_poisson(solver, zeta)
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        log.append(0.5 * float((zeta.values * psi.values).sum()) * h2)
+        log.append(_energy(zeta, psi))
         nxt = best_response(proto, psi)
         if np.array_equal(nxt.values, zeta.values):
             converged = True
@@ -280,14 +283,12 @@ def maximize(solver: PoissonSolver, spec: RearrangementSpec, init="kr_seed",
             note = f"cycle of length {iterations - seen[digest]} detected"
             zeta = nxt
             psi = solve_poisson(solver, zeta)
-            log.append(0.5 * float((zeta.values * psi.values).sum()) * h2)
+            log.append(_energy(zeta, psi))
             break
         seen[digest] = iterations
         zeta = nxt
         psi = solve_poisson(solver, zeta)
     else:
-        note = "non-converged"
-    if not converged and not note:
         note = "non-converged"
 
     zp, zn = positive_part(zeta), negative_part(zeta)
@@ -326,50 +327,25 @@ def monotone_map_check(zeta: ScalarField, psi: ScalarField,
     Zero means the field is a monotone function of its own stream
     function up to ties, the discrete sign of bathtub optimality.
     """
-    z, s = zeta.values, psi.values
-    uniq = np.unique(z)
+    levels, rank, counts = np.unique(zeta.values, return_inverse=True,
+                                     return_counts=True)
+    # psi per zeta level, each group sorted ascending
+    s = psi.values[np.lexsort((psi.values, rank))]
+    groups = np.split(s, np.cumsum(counts)[:-1])
+    # ascending sweep over levels: `low` holds the sorted psi of every
+    # level below levels[b] - tol, and cell j at level b pairs with each
+    # entry above psi_j + tol
+    low = np.zeros(0)
+    merged = 0
     total = 0
-    if uniq.size <= 64:
-        groups = [np.sort(s[z == v]) for v in uniq]
-        for a in range(uniq.size):
-            for b in range(uniq.size):
-                if not (uniq[a] < uniq[b] - tol):
-                    continue
-                # i in group a (low zeta), j in group b: psi_i > psi_j + tol
-                ga, gb = groups[a], groups[b]
-                total += int((ga.size - np.searchsorted(ga, gb + tol, side="right")).sum())
-        return total
-    # general path: sweep by psi with a Fenwick tree over zeta ranks
-    zvals, zrank = np.unique(z, return_inverse=True)
-    order = np.argsort(s, kind="stable")
-    tree = np.zeros(zvals.size + 1, dtype=np.int64)
-
-    def add(pos):
-        pos += 1
-        while pos <= zvals.size:
-            tree[pos] += 1
-            pos += pos & (-pos)
-
-    def count_upto(pos):  # inclusive prefix count
-        tot = 0
-        while pos > 0:
-            tot += tree[pos]
-            pos -= pos & (-pos)
-        return tot
-
-    inserted = 0
-    ptr = 0
-    svals = s[order]
-    for i in range(order.size):
-        si = svals[i]
-        while ptr < order.size and svals[ptr] < si - tol:
-            add(int(zrank[order[ptr]]))
-            ptr += 1
-            inserted += 1
-        # among inserted (psi < si - tol), count zeta > z_i + tol
-        hi = int(np.searchsorted(zvals, z[order[i]] + tol, side="right"))
-        total += inserted - count_upto(hi)
-    return int(total)
+    for b in range(levels.size):
+        while levels[merged] < levels[b] - tol:
+            g = groups[merged]
+            low = np.insert(low, np.searchsorted(low, g), g)
+            merged += 1
+        above = low.size - np.searchsorted(low, groups[b] + tol, side="right")
+        total += int(above.sum())
+    return total
 
 
 def bump_on_grid(grid: Grid, center, radius: float):

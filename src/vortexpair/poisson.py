@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 LOG_COEFF = 1.0 / (2.0 * math.pi)
+# relative infinity-norm residual at which refinement stops.  The hard
+# bound is 1e-10; this target sits two orders lower so quadratic forms
+# built from solves stay monotone to 1e-12 relative.
+REFINE_TOL = 1e-13
 
 
 class SolveError(RuntimeError):
@@ -42,18 +46,13 @@ class SolveError(RuntimeError):
 class PoissonSolver:
     """Factorized inverse of the masked 5-point Dirichlet Laplacian.
 
-    Parameters
-    ----------
-    grid : Grid
-    tol : relative infinity-norm residual target for refinement.  The
-        hard acceptance bound is 1e-10; the default aims two orders
-        lower so quadratic forms built from solves stay monotone to
-        1e-12 relative.
+    Each solve refines until the residual is REFINE_TOL relative to the
+    right-hand side (at most three passes) and raises SolveError above
+    1e-10.
     """
 
-    def __init__(self, grid: Grid, tol: float = 1e-13):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.tol = float(tol)
         self._lu = None
         self._lock = threading.Lock()
         self.matrix = self._assemble()
@@ -98,7 +97,7 @@ class PoissonSolver:
             # refinement: each pass multiplies the residual by ~eps*kappa
             for _ in range(3):
                 r = rhs - self.matrix @ x
-                if np.abs(r).max() <= self.tol * scale:
+                if np.abs(r).max() <= REFINE_TOL * scale:
                     break
                 x = x + lu.solve(r)
             self.solve_count += 1

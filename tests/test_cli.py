@@ -103,11 +103,23 @@ def test_evolve_perturbation_range(tmp_path, capsys):
     assert "delta0_rel" in capsys.readouterr().err
 
 
-def test_jobs_validation(tmp_path, capsys):
+def test_jobs_only_on_sweep(tmp_path, capsys):
     cfg = write_cfg(tmp_path, STEADY_CFG)
     assert run(["steady", "--config", cfg, "--out", str(tmp_path),
-                "--jobs", "0"]) == 1
+                "--jobs", "2"]) == 1
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_solver_tol_rejected(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, STEADY_CFG + "[solver]\ntol = 1e-11\n")
+    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "[solver] tol" in capsys.readouterr().err
+
+
+def test_steady_max_iter_below_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, STEADY_CFG + "max_iter = 0\n")
+    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "max_iter" in capsys.readouterr().err
 
 
 # -- steady -------------------------------------------------------------------
@@ -201,6 +213,13 @@ def test_sweep_single_eps_insufficient(tmp_path):
     assert verdict["all_pass"] is False
 
 
+def test_jobs_validation(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    assert run(["sweep", "--config", cfg, "--out", str(tmp_path),
+                "--jobs", "0"]) == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_sweep_eps_n_mismatch(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[sweep]\neps = 0.15 0.12 0.1\nn = 64 80\n")
     assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -265,6 +284,31 @@ def test_evolve_pde_stability(tmp_path):
     data = [l for l in lines if not l.startswith("#")][1:]
     assert len(data) >= 2
     assert any(l.startswith("# d0=") for l in lines)
+
+
+def test_evolve_pde_random_init(tmp_path):
+    text = """
+        [grid]
+        n = 64
+        [steady]
+        eps1 = 0.2
+        init = {}
+        [evolve]
+        mode = pde
+        delta0_rel = 0.02
+        turnovers = 0.5
+        records = 10
+    """
+    outs = {}
+    for name, init in (("a", "random"), ("b", "random"), ("kr", "kr_seed")):
+        cfg = write_cfg(tmp_path, text.format(init), name=f"{name}.ini")
+        assert run(["evolve", "--config", cfg, "--out",
+                    str(tmp_path / name), "--seed", "3"]) == 0
+        outs[name] = (tmp_path / name / "stability.csv").read_bytes()
+    assert outs["a"] == outs["b"]
+    # [steady] init acts: the runs differ beyond the config hash line
+    rand, seeded = outs["a"].splitlines()[1:], outs["kr"].splitlines()[1:]
+    assert rand != seeded
 
 
 # -- diagnose -----------------------------------------------------------------

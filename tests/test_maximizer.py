@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 import vortexpair as vp
 
@@ -164,6 +165,13 @@ def test_maximize_random_init_converges(disk96):
     assert st.monotone_violations == 0
 
 
+def test_maximize_rejects_max_iter_below_one(disk64):
+    spec = vp.RearrangementSpec(eps1=0.15, eps2=0.15, kappa1=1.0,
+                                kappa2=-1.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        vp.maximize(disk64, spec, max_iter=0, residual_tests=0)
+
+
 def test_lagrange_multipliers_values(pair_state_96):
     mu1, mu2 = vp.lagrange_multipliers(pair_state_96.zeta, pair_state_96.psi)
     on_pos = pair_state_96.zeta.values > 0
@@ -208,7 +216,7 @@ def test_monotone_map_check_vs_bruteforce(disk64):
     brute = int(np.sum((si > sj + 1e-10) & (zi < zj - 1e-10)))
     assert got == brute
 
-    # continuous values force the rank-sweep code path (many unique levels)
+    # continuous values: one level per cell
     z2 = np.zeros(g.ncells)
     s2 = np.zeros(g.ncells)
     z2[:n] = rng.uniform(0.5, 1.5, size=n)
@@ -218,6 +226,27 @@ def test_monotone_map_check_vs_bruteforce(disk64):
     si2, sj2 = s2[:n][:, None], s2[:n][None, :]
     brute2 = int(np.sum((si2 > sj2 + 1e-10) & (zi2 < zj2 - 1e-10)))
     assert got2 == brute2
+
+
+SMALL_GRID = vp.build_grid(vp.DomainSpec.unit_disk(), 16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategies.integers(min_value=0, max_value=2 ** 31 - 1),
+       strategies.booleans(), strategies.integers(min_value=1, max_value=8))
+def test_monotone_map_check_property(seed, integral, levels):
+    g = SMALL_GRID
+    rng = np.random.default_rng(seed)
+    if integral:  # many ties in both fields
+        z = rng.integers(-levels, levels + 1, size=g.ncells).astype(float)
+        s = rng.integers(0, 2 * levels, size=g.ncells).astype(float)
+    else:
+        z = rng.uniform(-1.0, 1.0, size=g.ncells)
+        s = rng.uniform(-1.0, 1.0, size=g.ncells)
+    got = vp.monotone_map_check(vp.ScalarField(g, z), vp.ScalarField(g, s))
+    brute = int(np.sum((s[:, None] > s[None, :] + 1e-10)
+                       & (z[:, None] < z[None, :] - 1e-10)))
+    assert got == brute
 
 
 def test_cone_test_function_shape(disk96):

@@ -9,7 +9,7 @@ bytes, which is how a refactor shows it kept the outputs.
     python3 tools/cli_digest.py --src OTHER/src  # another checkout
     python3 tools/cli_digest.py --out DIR        # keep the outputs in DIR
 
-The whole set takes about a minute on two cores.
+The whole set takes about a minute and a half on two cores.
 """
 
 from __future__ import annotations
@@ -43,9 +43,29 @@ RUNS = {
         eps2 = 0
         residual_tests = 2
     """),
+    "steady_parabolic": ("steady", [], """
+        [grid]
+        n = 64
+        [vortex]
+        profile = parabolic
+        [steady]
+        eps1 = 0.15
+        residual_tests = 2
+    """),
     "krmin": ("krmin", [], """
         [grid]
         n = 96
+    """),
+    "krmin_rect": ("krmin", [], """
+        [domain]
+        kind = rectangle
+        width = 1.4
+        height = 1
+        [grid]
+        n = 64
+        [kr]
+        margin_h = 8
+        starts = 2
     """),
     "sweep": ("sweep", ["--jobs", "2"], """
         [sweep]
