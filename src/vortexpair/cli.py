@@ -509,12 +509,12 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, outdir, args.seed, args.jobs)
         return _COMMANDS[args.command](cfg, outdir, args.seed)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"vortexpair: error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, SolveError) as exc:
+    except SolveError as exc:
         print(f"vortexpair: error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

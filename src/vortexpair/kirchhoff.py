@@ -21,7 +21,9 @@ evaluation paths coexist on purpose:
   from the same store, one solve per lattice site) and interpolated
   with quintic splines.  A Runge-Kutta step needs a C^4 right-hand side
   for its order and for visible conservation of W; per-step finite
-  differences of snapped solves would bury both in cell noise.
+  differences of snapped solves would bury both in cell noise.  One RK
+  stage evaluates all 4k central-difference configurations together:
+  one `H` call and one `hreg` call.
 
 Positions handed to the solve-backed functions are snapped to the
 containing cell; margins (4h for values, 6h for gradients and descent)
@@ -436,28 +438,37 @@ class _KRInterpolant:
         return ndimage.map_coordinates(self._h4, coords, order=5,
                                        prefilter=False, mode="nearest")
 
-    def value(self, pts: np.ndarray, kappas: np.ndarray) -> float:
-        k = pts.shape[0]
-        w = 0.5 * float((kappas ** 2 * self.H(pts)).sum())
-        for i in range(k):
-            for j in range(i + 1, k):
-                d = float(np.hypot(*(pts[i] - pts[j])))
-                gij = -LOG_COEFF * math.log(d) - float(
-                    self.hreg(pts[i], pts[j])[0])
-                w -= kappas[i] * kappas[j] * gij
+    def values(self, P: np.ndarray, kappas: np.ndarray) -> np.ndarray:
+        """W at each configuration of a stack P of shape (Q, k, 2).
+
+        One `H` call on all Q*k points and one `hreg` call on all pairs;
+        per configuration the sum runs as in a single evaluation (self
+        terms first, then the pairs in (i < j) order), so every member
+        of the stack gets the bits it would get on its own.
+        """
+        q, k = P.shape[:2]
+        w = 0.5 * (kappas ** 2 * self.H(P.reshape(-1, 2)).reshape(q, k)).sum(axis=1)
+        i, j = np.triu_indices(k, 1)
+        x, y = P[:, i].reshape(-1, 2), P[:, j].reshape(-1, 2)
+        d = np.hypot(x[:, 0] - y[:, 0], x[:, 1] - y[:, 1])
+        # libm log, elementwise: np.log differs from it in the last bit
+        logd = np.array([math.log(v) for v in d], dtype=float)
+        g = (-LOG_COEFF * logd - self.hreg(x, y)).reshape(q, i.size)
+        kk = kappas[i] * kappas[j]
+        for p in range(i.size):
+            w -= kk[p] * g[:, p]
         return w
 
+    def value(self, pts: np.ndarray, kappas: np.ndarray) -> float:
+        return self.values(pts[None], kappas)[0]
+
     def gradient(self, pts: np.ndarray, kappas: np.ndarray) -> np.ndarray:
+        """Central differences of W, all 4k stencil points in one `values` call."""
         eps = 1e-5 * self.grid.h * self.stride
-        grad = np.zeros_like(pts)
-        for i in range(pts.shape[0]):
-            for c in range(2):
-                hi = pts.copy()
-                hi[i, c] += eps
-                lo = pts.copy()
-                lo[i, c] -= eps
-                grad[i, c] = (self.value(hi, kappas) - self.value(lo, kappas)) / (2 * eps)
-        return grad
+        n = pts.size
+        step = eps * np.eye(n).reshape(n, *pts.shape)
+        w = self.values(np.concatenate([pts + step, pts - step]), kappas)
+        return ((w[:n] - w[n:]) / (2 * eps)).reshape(pts.shape)
 
 
 def pv_evolve(solver: PoissonSolver, cfg: KRConfiguration, T: float, dt: float,
@@ -466,11 +477,15 @@ def pv_evolve(solver: PoissonSolver, cfg: KRConfiguration, T: float, dt: float,
 
     W is the spline surrogate (see module docstring), so the reported
     values measure conservation of the integrated Hamiltonian itself.
+    Each RK stage evaluates the right-hand side with one `H` call and
+    one `hreg` call on the spline tables (see `_KRInterpolant.values`).
     The trajectory truncates with a note if any vortex leaves the trust
     margin or two vortices approach below 4h.
     """
-    if dt <= 0 or T <= 0:
-        raise ValueError("need positive T and dt")
+    if not (math.isfinite(T) and math.isfinite(dt) and T > 0 and dt > 0):
+        raise ValueError("need finite positive T and dt")
+    if save_stride < 1:
+        raise ValueError("save_stride must be >= 1")
     interp = _store(solver).interpolant(solver)
     kap = cfg.kappas
     inv = (1.0 / kap)[:, None]

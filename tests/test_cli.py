@@ -4,6 +4,7 @@ import textwrap
 import pytest
 
 from vortexpair import cli
+from vortexpair.poisson import PoissonSolver, SolveError
 
 
 def write_cfg(tmp_path, text, name="run.ini"):
@@ -101,6 +102,34 @@ def test_evolve_perturbation_range(tmp_path, capsys):
     """)
     assert run(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "delta0_rel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T, stride, dt, word", [
+    ("0.01", "0", "1e-3", "save_stride"), ("0.01", "-5", "1e-3", "save_stride"),
+    ("inf", "1", "1e-3", "finite"), ("0.01", "1", "nan", "finite")])
+def test_evolve_pv_bad_inputs(tmp_path, capsys, T, stride, dt, word):
+    cfg = write_cfg(tmp_path, f"""
+        [grid]
+        n = 64
+        [evolve]
+        mode = pv
+        positions = 0.45,0 ; -0.45,0
+        T = {T}
+        dt = {dt}
+        save_stride = {stride}
+    """)
+    assert run(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert word in capsys.readouterr().err
+
+
+def test_solve_error_exits_2(tmp_path, capsys, monkeypatch):
+    def stalled(self, rhs):
+        raise SolveError("poisson solve stalled: test")
+
+    monkeypatch.setattr(PoissonSolver, "solve", stalled)
+    cfg = write_cfg(tmp_path, STEADY_CFG)
+    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "poisson solve stalled" in capsys.readouterr().err
 
 
 def test_jobs_only_on_sweep(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import functools
 import gc
+import math
 import sys
 import threading
 import weakref
@@ -9,6 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vortexpair as vp
+from vortexpair import kirchhoff
+from vortexpair.poisson import LOG_COEFF
 
 D_STAR = np.sqrt(np.sqrt(5.0) - 2.0)  # root of d^4 + 4 d^2 - 1 = 0
 
@@ -187,6 +191,15 @@ def test_pv_dt_refinement_order(disk96):
     assert drifts[0] / max(drifts[1], 1e-300) >= 4.0
 
 
+@pytest.mark.parametrize("T, dt, stride", [
+    (0.1, 1e-3, 0), (0.1, 1e-3, -2), (np.inf, 1e-3, 1), (np.nan, 1e-3, 1),
+    (0.1, np.inf, 1), (0.1, np.nan, 1)])
+def test_pv_rejects_bad_horizon_and_stride(disk96, T, dt, stride):
+    c = cfg([[0.2, 0.0], [-0.2, 0.0]], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        vp.pv_evolve(disk96, c, T=T, dt=dt, save_stride=stride)
+
+
 def test_pv_rejects_boundary_start(disk96):
     with pytest.raises(ValueError):
         vp.pv_evolve(disk96, cfg([[0.98, 0.0]], [1.0]), T=0.1, dt=1e-3)
@@ -199,6 +212,57 @@ def test_pv_truncates_on_margin_exit(disk96):
     assert not tr.completed
     assert tr.times[-1] < 50.0
     assert "margin" in tr.note
+
+
+# -- spline surrogate: batched evaluation -----------------------------------
+
+@functools.cache
+def _interp64():
+    solver = fresh_disk64()
+    return kirchhoff._store(solver).interpolant(solver)
+
+
+def _loop_value(interp, pts, kap):
+    """W evaluated one pair at a time: the reference for the batched path."""
+    w = 0.5 * float((kap ** 2 * interp.H(pts)).sum())
+    for i in range(kap.size):
+        for j in range(i + 1, kap.size):
+            d = float(np.hypot(*(pts[i] - pts[j])))
+            gij = -LOG_COEFF * math.log(d) - float(interp.hreg(pts[i], pts[j])[0])
+            w -= kap[i] * kap[j] * gij
+    return w
+
+
+_admissible = st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 2.0 * np.pi))
+_strength = st.tuples(st.floats(0.25, 2.0), st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.lists(_admissible, min_size=k, max_size=k),
+    st.lists(_strength, min_size=k, max_size=k))))
+def test_batched_surrogate_matches_single_evaluations(case):
+    polar, strengths = case
+    pts = np.array([[r * np.cos(t), r * np.sin(t)] for r, t in polar])
+    kap = np.array([-s if neg else s for s, neg in strengths])
+    interp = _interp64()
+    k = kap.size
+    assume(all(np.hypot(*(pts[i] - pts[j])) >= 4.0 * _G64.h
+               for i in range(k) for j in range(i + 1, k)))
+    assert interp.value(pts, kap) == _loop_value(interp, pts, kap)
+    eps = 1e-5 * _G64.h * interp.stride
+    grad = interp.gradient(pts, kap)
+    stack = [pts]
+    for i in range(k):
+        for c in range(2):
+            hi, lo = pts.copy(), pts.copy()
+            hi[i, c] += eps
+            lo[i, c] -= eps
+            stack += [hi, lo]
+            fd = (interp.value(hi, kap) - interp.value(lo, kap)) / (2 * eps)
+            assert grad[i, c] == fd
+    batched = interp.values(np.array(stack), kap)
+    assert batched.tolist() == [interp.value(p, kap) for p in stack]
 
 
 # -- Green store properties -------------------------------------------------

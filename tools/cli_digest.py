@@ -93,6 +93,18 @@ RUNS = {
         dt = 1e-3
         save_stride = 50
     """),
+    "evolve_pv_corot": ("evolve", [], """
+        [grid]
+        n = 64
+        [vortex]
+        kappa2 = 1
+        [evolve]
+        mode = pv
+        positions = 0.06,0 ; -0.06,0
+        T = 0.5
+        dt = 1e-3
+        save_stride = 50
+    """),
     "evolve_pde": ("evolve", [], """
         [grid]
         n = 64
