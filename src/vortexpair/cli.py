@@ -207,7 +207,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None  # strict JSON: no NaN
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
         return int(obj)
     if isinstance(obj, np.bool_):

@@ -39,20 +39,27 @@ class EulerState:
     t: float = 0.0
 
 
-def _bilinear_box(grid, box, px, py):
+def _cell_coords(grid, px, py):
+    """Lower-left box indices of the points and their offsets in [0, 1)."""
     gx = (px - grid.x0) / grid.h - 0.5
     gy = (py - grid.y0) / grid.h - 0.5
     i0 = np.floor(gx).astype(np.int64)
     j0 = np.floor(gy).astype(np.int64)
-    tx = gx - i0
-    ty = gy - j0
-    out = np.zeros(px.shape)
+    return i0, j0, gx - i0, gy - j0
+
+
+def _bilinear_box(grid, boxes, px, py):
+    """Bilinear samples of every box in `boxes` at the points (0 outside)."""
+    i0, j0, tx, ty = _cell_coords(grid, px, py)
+    outs = [np.zeros(px.shape) for _ in boxes]
     for di, dj, w in ((0, 0, (1 - tx) * (1 - ty)), (1, 0, tx * (1 - ty)),
                       (0, 1, (1 - tx) * ty), (1, 1, tx * ty)):
         ii, jj = i0 + di, j0 + dj
         ok = (ii >= 0) & (ii < grid.nx) & (jj >= 0) & (jj < grid.ny)
-        out += w * np.where(ok, box[jj.clip(0, grid.ny - 1), ii.clip(0, grid.nx - 1)], 0.0)
-    return out
+        ii, jj = ii.clip(0, grid.nx - 1), jj.clip(0, grid.ny - 1)
+        for out, box in zip(outs, boxes):
+            out += w * np.where(ok, box[jj, ii], 0.0)
+    return outs
 
 
 def _padded_box(grid, values):
@@ -81,12 +88,7 @@ def _cubic_box(grid, pad, px, py):
     cubic overshoots at the patch edge and the blow-up guard becomes
     meaningless.
     """
-    gx = (px - grid.x0) / grid.h - 0.5
-    gy = (py - grid.y0) / grid.h - 0.5
-    i0 = np.floor(gx).astype(np.int64)
-    j0 = np.floor(gy).astype(np.int64)
-    tx = gx - i0
-    ty = gy - j0
+    i0, j0, tx, ty = _cell_coords(grid, px, py)
     wx = _cubic_weights(tx)
     wy = _cubic_weights(ty)
     out = np.zeros(px.shape)
@@ -106,14 +108,13 @@ def _cubic_box(grid, pad, px, py):
     return np.clip(out, lo, hi)
 
 
-def _trace_feet(grid, u1box, u2box, dt):
+def _trace_feet(grid, uboxes, dt):
     """RK4 backward feet of the cell centers in the frozen field."""
     x0 = grid.cells_xy[:, 0]
     y0 = grid.cells_xy[:, 1]
 
     def vel(px, py):
-        return (_bilinear_box(grid, u1box, px, py),
-                _bilinear_box(grid, u2box, px, py))
+        return _bilinear_box(grid, uboxes, px, py)
 
     k1x, k1y = vel(x0, y0)
     k2x, k2y = vel(x0 - 0.5 * dt * k1x, y0 - 0.5 * dt * k1y)
@@ -134,9 +135,7 @@ def step(solver: PoissonSolver, state: EulerState, dt: float) -> EulerState:
     if vmax > 0 and dt > 4.0 * g.h / vmax:
         raise ValueError(
             f"dt violates the CFL bound: use dt <= {4.0 * g.h / vmax:.6g}")
-    u1box = g.box_image(v.u1)
-    u2box = g.box_image(v.u2)
-    px, py = _trace_feet(g, u1box, u2box, dt)
+    px, py = _trace_feet(g, (g.box_image(v.u1), g.box_image(v.u2)), dt)
     pad = _padded_box(g, omega.values)
     new = _cubic_box(g, pad, px, py)
     return EulerState(ScalarField(g, new), state.t + dt)
@@ -170,7 +169,7 @@ def _rotate_once(grid, box, xy, th):
     c, s = math.cos(th), math.sin(th)
     px = c * xy[:, 0] + s * xy[:, 1]
     py = -s * xy[:, 0] + c * xy[:, 1]
-    return _bilinear_box(grid, box, px, py)
+    return _bilinear_box(grid, (box,), px, py)[0]
 
 
 def _orbit_distance(grid, box, xy, vals, coarse, p, h2p, znorm):
@@ -228,6 +227,12 @@ def stability_experiment(solver: PoissonSolver, steady: SteadyState,
     znorm = lp_norm(zeta, p)
     if delta0 < 0 or delta0 > 0.1 * znorm:
         raise ValueError("perturbation must satisfy 0 <= delta0 <= 0.1 ||zeta||_p")
+    if not (math.isfinite(turnovers) and turnovers > 0):
+        raise ValueError("need finite positive turnovers")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ValueError("need finite positive dt")
+    if records < 1:
+        raise ValueError("records must be >= 1")
 
     omega = zeta.values.copy()
     if delta0 > 0:

@@ -13,8 +13,11 @@ evaluation paths coexist on purpose:
   dense Green store: a cell is solved at most once, its Robin value and
   its solve read at every earlier solved cell fill one row and column,
   and G(a, b) is read from the column of whichever of a and b was
-  solved later.  This is the reference path; the optimizer only ever
-  compares such directly evaluated numbers.
+  solved later.  One evaluator, `_GreenStore.values`, serves every W
+  computed from the store: single configurations, the gradient and
+  refinement stencils, and the scan's table over all site pairs.  This
+  is the reference path; the optimizer only ever compares such
+  directly evaluated numbers.
 
 * `pv_evolve` integrates the vortex ODE with a smooth surrogate: H and
   the regular part h(x, y) are tabulated on a coarse sub-lattice (read
@@ -136,14 +139,18 @@ class _GreenStore:
         H[:k], G[:k, :k], cells[:k] = self.H[:k], self.G[:k, :k], self.cells[:k]
         self.H, self.G, self.cells = H, G, cells
 
-    def value(self, rows, kappas) -> float:
-        """W of vortices at the cells of `rows`."""
+    def values(self, rows, kappas):
+        """W at the cells of `rows`, one broadcastable row array per vortex.
+
+        Sums the self term of vortex i, then its pairs (i, j > i), so each
+        member of a stack of configurations gets the bits it gets alone.
+        """
         w = 0.0
         k = len(rows)
         for i in range(k):
-            w += 0.5 * kappas[i] ** 2 * self.H[rows[i]]
+            w = w + 0.5 * kappas[i] ** 2 * self.H[rows[i]]
             for j in range(i + 1, k):
-                w -= kappas[i] * kappas[j] * self.G[rows[i], rows[j]]
+                w = w - kappas[i] * kappas[j] * self.G[rows[i], rows[j]]
         return w
 
 
@@ -159,15 +166,9 @@ def _store(solver: PoissonSolver) -> _GreenStore:
         return st
 
 
-def _snap(solver: PoissonSolver, points: np.ndarray) -> np.ndarray:
-    ids = solver.grid.locate(points[:, 0], points[:, 1])
-    if (np.asarray(ids) < 0).any():
-        raise ValueError("vortex position outside the domain")
-    return np.atleast_1d(ids).astype(int)
-
-
-def _check_margins(solver: PoissonSolver, pts: np.ndarray, margin: float) -> None:
-    """Boundary clearance >= `margin` (a length) and separations >= 4h."""
+def _snapped_cells(solver: PoissonSolver, pts: np.ndarray, margin: float) -> np.ndarray:
+    """Cells containing `pts`, after checking boundary clearance >= `margin`
+    (a length) and separations >= 4h, which also keeps the cells distinct."""
     g = solver.grid
     for x, y in pts:
         if g.domain.boundary_distance(float(x), float(y)) < margin:
@@ -177,6 +178,34 @@ def _check_margins(solver: PoissonSolver, pts: np.ndarray, margin: float) -> Non
         for j in range(i + 1, k):
             if np.hypot(*(pts[i] - pts[j])) < 4.0 * g.h:
                 raise ValueError("vortex positions closer than 4h")
+    ids = g.locate(pts[:, 0], pts[:, 1])
+    if (np.asarray(ids) < 0).any():
+        raise ValueError("vortex position outside the domain")
+    return np.atleast_1d(ids).astype(int)
+
+
+def _compass_values(solver: PoissonSolver, cells: np.ndarray, kappas) -> np.ndarray:
+    """W with each vortex moved 2 cells left, right, down and up, shape (k, 4).
+
+    One `rows` call (cells, then probes) and one `values` call on a (k, k, 4)
+    row stack.  A coordinate with a probe whose Robin stencil leaves the mask
+    solves neither of its probes, and both read NaN.
+    """
+    g = solver.grid
+    k = cells.size
+    probes = g.compass(cells, 2)
+    ok = probes >= 0
+    ok[ok] = (g.compass(probes[ok], 2) >= 0).all(axis=-1)
+    ok &= ok[:, [1, 0, 3, 2]]
+    store = _store(solver)
+    rows = store.rows(solver, np.concatenate([cells, probes[ok]]))
+    moved = np.repeat(rows[:k, None], 4, axis=1)
+    moved[ok] = rows[k:]
+    stack = np.broadcast_to(rows[:k, None, None], (k, k, 4)).copy()
+    stack[np.arange(k), np.arange(k)] = moved  # stack[j, i, d]: vortex j
+    w = store.values(tuple(stack), kappas)
+    w[~ok] = np.nan
+    return w
 
 
 def kr_value(solver: PoissonSolver, cfg: KRConfiguration) -> float:
@@ -184,51 +213,28 @@ def kr_value(solver: PoissonSolver, cfg: KRConfiguration) -> float:
 
     Needs pairwise separations and boundary clearance of at least 4h.
     """
-    _check_margins(solver, cfg.points, 4.0 * solver.grid.h)
-    cells = _snap(solver, cfg.points)
-    if np.unique(cells).size < cells.size:
-        raise ValueError("vortex positions collide at cell granularity")
     store = _store(solver)
-    return store.value(store.rows(solver, cells), cfg.kappas)
+    cells = _snapped_cells(solver, cfg.points, 4.0 * solver.grid.h)
+    return store.values(store.rows(solver, cells), cfg.kappas)
 
 
 def kr_gradient(solver: PoissonSolver, cfg: KRConfiguration) -> np.ndarray:
     """Central differences of kr_value with step 2h; needs 6h margins."""
-    g = solver.grid
-    _check_margins(solver, cfg.points, 6.0 * g.h)
-    base = _snap(solver, cfg.points)
-    probes = g.compass(base, 2)  # (k, 4): left, right, down, up
-    if (probes < 0).any():
+    h = solver.grid.h
+    w = _compass_values(solver, _snapped_cells(solver, cfg.points, 6.0 * h),
+                        cfg.kappas)
+    if np.isnan(w).any():
         raise ValueError("gradient stencil leaves the domain")
-    store = _store(solver)
-    rows = store.rows(solver, np.concatenate([base, probes.ravel()]))
-    rb, rp = rows[:base.size], rows[base.size:].reshape(probes.shape)
-    step = 2.0 * g.h
-    grad = np.zeros((base.size, 2))
-    for i in range(base.size):
-        for c in range(2):
-            hi, lo = rb.copy(), rb.copy()
-            hi[i], lo[i] = rp[i, 2 * c + 1], rp[i, 2 * c]
-            w_hi = store.value(hi, cfg.kappas)
-            w_lo = store.value(lo, cfg.kappas)
-            grad[i, c] = (w_hi - w_lo) / (2.0 * step)
-    return grad
+    return (w[:, 1::2] - w[:, 0::2]) / (2.0 * (2.0 * h))
 
 
 # -- minimization ----------------------------------------------------------
 
 def _scan_lattice(solver: PoissonSolver, margin_h: float):
     g = solver.grid
-    ids = []
-    for iy in range(_STRIDE // 2, g.ny, _STRIDE):
-        for ix in range(_STRIDE // 2, g.nx, _STRIDE):
-            cid = g.index[iy, ix]
-            if cid < 0:
-                continue
-            x, y = g.cells_xy[cid]
-            if g.domain.boundary_distance(float(x), float(y)) >= margin_h * g.h:
-                ids.append(int(cid))
-    return ids
+    lattice = g.index[_STRIDE // 2::_STRIDE, _STRIDE // 2::_STRIDE].ravel()
+    return [int(c) for c in lattice[lattice >= 0] if g.domain.boundary_distance(
+        *map(float, g.cells_xy[c])) >= margin_h * g.h]
 
 
 def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
@@ -244,6 +250,10 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
     kappas = np.asarray(kappas, dtype=float)
     if kappas.shape != (2,) or not (kappas[0] > 0 > kappas[1]):
         raise ValueError("kr_minimize expects strengths (positive, negative)")
+    if starts < 1:
+        raise ValueError("starts must be >= 1")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     g = solver.grid
     sites = _scan_lattice(solver, margin_h)
     if len(sites) < 2:
@@ -251,46 +261,30 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
     store = _store(solver)
     r = store.rows(solver, sites)
     m = len(sites)
-    H = store.H[r]
-    Gt = store.G[np.ix_(r, r)]
-    W = (-kappas[0] * kappas[1] * Gt
-         + 0.5 * kappas[0] ** 2 * H[:, None]
-         + 0.5 * kappas[1] ** 2 * H[None, :])
+    W = store.values((r[:, None], r[None, :]), kappas)
     pts = g.cells_xy[sites]
     sep = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
     W[sep < 4.0 * g.h] = np.inf
     np.fill_diagonal(W, np.inf)
 
-    flat = np.argsort(W, axis=None, kind="stable")
     symmetric = abs(kappas[0]) == abs(kappas[1])
-    chosen = []
-    seen = set()
-    for f in flat:
+    chosen = {}  # unordered pair if symmetric -> its first (a, b) by W
+    for f in np.argsort(W, axis=None, kind="stable"):
         a, b = divmod(int(f), m)
-        if not np.isfinite(W[a, b]):
+        if len(chosen) == starts or not np.isfinite(W[a, b]):
             break
-        key = (min(a, b), max(a, b)) if symmetric else (a, b)
-        if key in seen:
-            continue
-        seen.add(key)
-        chosen.append((a, b))
-        if len(chosen) >= starts:
-            break
+        chosen.setdefault((min(a, b), max(a, b)) if symmetric else (a, b), (a, b))
 
     def snapped_value(p):
         try:
-            _check_margins(solver, p, margin_h * g.h)
-            cells = _snap(solver, p)
-            if np.unique(cells).size < cells.size:
-                return np.inf, None
-            return store.value(store.rows(solver, cells), kappas), cells
+            cells = _snapped_cells(solver, p, margin_h * g.h)
+            return store.values(store.rows(solver, cells), kappas), cells
         except ValueError:
             return np.inf, None
 
-    best = None
     total_iters = 0
     finals = []
-    for a, b in chosen:
+    for a, b in chosen.values():
         p = np.array([pts[a], pts[b]])
         w, cells = snapped_value(p)
         for _ in range(max_iter):
@@ -303,23 +297,18 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
             if gmax == 0.0:
                 break
             t = 4.0 * g.h / gmax
-            improved = False
             while t * gmax >= 0.45 * g.h:
-                trial = p - t * grad
-                wt, ct = snapped_value(trial)
+                wt, ct = snapped_value(p - t * grad)
                 if wt < w - 1e-14 * max(1.0, abs(w)):
                     p = g.cells_xy[ct].copy()  # keep iterates on cell centers
                     w, cells = wt, ct
-                    improved = True
                     break
                 t *= 0.5
-            if not improved:
-                break
+            else:
+                break  # no step improved
         finals.append((w, p.copy(), cells))
-        if best is None or w < best[0]:
-            best = (w, p.copy(), cells)
 
-    w0, p0, cells0 = best
+    w0, p0, cells0 = min(finals, key=lambda f: f[0])  # first of the least
     tie = sum(1 for w, _, _ in finals if w <= w0 + 1e-6 * max(1.0, abs(w0)))
     refined = _parabolic_refine(solver, p0, cells0, kappas, w0)
     return KRMinimum(points=refined, value=float(w0), starts=len(chosen),
@@ -329,28 +318,14 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
 
 def _parabolic_refine(solver, p0, cells0, kappas, w0):
     """Sub-cell vertex estimate from W at +-2 cells along each coordinate."""
-    g = solver.grid
-    store = _store(solver)
+    h = solver.grid.h
+    w = _compass_values(solver, cells0, kappas)
+    lo, hi = w[:, 0::2], w[:, 1::2]
     refined = p0.astype(float).copy()
-    probes = g.compass(cells0, 2)  # (k, 4): left, right, down, up
-    for i in range(p0.shape[0]):
-        for c in range(2):
-            lo, hi = probes[i, 2 * c], probes[i, 2 * c + 1]
-            if lo < 0 or hi < 0:
-                continue
-            cells_hi, cells_lo = cells0.copy(), cells0.copy()
-            cells_hi[i], cells_lo[i] = hi, lo
-            try:
-                rows = store.rows(solver, [cells_hi, cells_lo])
-            except ValueError:
-                continue
-            whi = store.value(rows[0], kappas)
-            wlo = store.value(rows[1], kappas)
-            curv = whi - 2.0 * w0 + wlo
-            if curv <= 0:
-                continue
-            delta = 0.5 * (wlo - whi) / curv * (2.0 * g.h)
-            refined[i, c] += float(np.clip(delta, -g.h, g.h))
+    for (i, c), curv in np.ndenumerate(hi - 2.0 * w0 + lo):
+        if curv > 0:  # false for NaN too: a probe the mask cannot solve
+            delta = 0.5 * (lo[i, c] - hi[i, c]) / curv * (2.0 * h)
+            refined[i, c] += float(np.clip(delta, -h, h))
     return refined
 
 
@@ -492,7 +467,7 @@ def pv_evolve(solver: PoissonSolver, cfg: KRConfiguration, T: float, dt: float,
 
     def ok(pts):
         try:
-            _check_margins(solver, pts, interp.trust_margin)
+            _snapped_cells(solver, pts, interp.trust_margin)
         except ValueError:
             return False
         return True

@@ -122,6 +122,31 @@ def test_evolve_pv_bad_inputs(tmp_path, capsys, T, stride, dt, word):
     assert word in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, word", [
+    ("dt", "0", "dt"), ("dt", "-1e-3", "dt"), ("turnovers", "inf", "turnovers"),
+    ("records", "0", "records")])
+def test_evolve_pde_bad_inputs(tmp_path, capsys, key, value, word):
+    cfg = write_cfg(tmp_path, f"""
+        [grid]
+        n = 64
+        [steady]
+        eps1 = 0.2
+        [evolve]
+        mode = pde
+        {key} = {value}
+    """)
+    assert run(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert word in capsys.readouterr().err
+    assert not (tmp_path / "stability.csv").exists()
+
+
+def test_krmin_rejects_zero_starts(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[grid]\nn = 64\n[kr]\nstarts = 0\n")
+    assert run(["krmin", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "starts" in capsys.readouterr().err
+    assert not (tmp_path / "krmin.json").exists()
+
+
 def test_solve_error_exits_2(tmp_path, capsys, monkeypatch):
     def stalled(self, rhs):
         raise SolveError("poisson solve stalled: test")
@@ -170,6 +195,19 @@ def test_steady_outputs_and_rerun_identical(tmp_path):
     for name in ("steady.json", "zeta.txt", "psi.txt", "zeta.pgm", "psi.pgm",
                  "zeta.pgm.json", "psi.pgm.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_steady_json_is_strict_without_residual(tmp_path):
+    cfg = write_cfg(tmp_path, STEADY_CFG.replace("residual_tests = 2",
+                                                 "residual_tests = 0"))
+    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def reject(token):
+        raise AssertionError(f"non-JSON constant {token} in steady.json")
+
+    payload = json.loads((tmp_path / "steady.json").read_text(),
+                         parse_constant=reject)
+    assert payload["residual"] is None
 
 
 def test_steady_out_env_override(tmp_path, monkeypatch):

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vortexpair as vp
+from vortexpair import euler
 from vortexpair.euler import EulerState
 from conftest import centered_patch
+
+_G48 = vp.build_grid(vp.DomainSpec.rectangle(1.2, 1.0), 48)
 
 
 def test_step_rejects_large_dt(disk64):
@@ -100,3 +105,44 @@ def test_stability_abort_on_forced_cfl(pair_state_96, disk96):
                                 turnovers=1.0, dt=1e3, records=3)
     assert r.aborted
     assert "CFL" in r.note
+
+
+@pytest.mark.parametrize("kw, word", [
+    (dict(dt=0.0), "dt"), (dict(dt=-1e-3), "dt"), (dict(dt=math.nan), "dt"),
+    (dict(turnovers=math.inf), "turnovers"), (dict(turnovers=0.0), "turnovers"),
+    (dict(records=0), "records")])
+def test_stability_rejects_bad_horizon(pair_state_96, disk96, kw, word):
+    with pytest.raises(ValueError, match=word):
+        vp.stability_experiment(disk96, pair_state_96, delta0=0.0, **kw)
+
+
+def _bilinear_reference(grid, box, px, py):
+    """One box, indices and weights computed in place: the reference."""
+    gx = (px - grid.x0) / grid.h - 0.5
+    gy = (py - grid.y0) / grid.h - 0.5
+    i0 = np.floor(gx).astype(np.int64)
+    j0 = np.floor(gy).astype(np.int64)
+    tx, ty = gx - i0, gy - j0
+    out = np.zeros(px.shape)
+    for di, dj, w in ((0, 0, (1 - tx) * (1 - ty)), (1, 0, tx * (1 - ty)),
+                      (0, 1, (1 - tx) * ty), (1, 1, tx * ty)):
+        ii, jj = i0 + di, j0 + dj
+        ok = (ii >= 0) & (ii < grid.nx) & (jj >= 0) & (jj < grid.ny)
+        out += w * np.where(ok, box[jj.clip(0, grid.ny - 1), ii.clip(0, grid.nx - 1)], 0.0)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_bilinear_gather_matches_one_call_per_box(seed, nboxes):
+    g = _G48
+    rng = np.random.default_rng(seed)
+    boxes = tuple(g.box_image(rng.normal(size=g.ncells)) for _ in range(nboxes))
+    # points inside, near and beyond the box edge, some exactly on cell centers
+    px = rng.uniform(g.x0 - 2 * g.h, g.x0 + (g.nx + 2) * g.h, 200)
+    py = rng.uniform(g.y0 - 2 * g.h, g.y0 + (g.ny + 2) * g.h, 200)
+    px[:20], py[:20] = g.cells_xy[:20, 0], g.cells_xy[:20, 1]
+    together = euler._bilinear_box(g, boxes, px, py)
+    for box, out in zip(boxes, together):
+        assert np.array_equal(out, euler._bilinear_box(g, (box,), px, py)[0])
+        assert np.array_equal(out, _bilinear_reference(g, box, px, py))

@@ -348,3 +348,85 @@ def test_store_shared_by_threads():
     for (t, i), w in results.items():
         assert w == pytest.approx(expect[i], rel=1e-12, abs=0.0)
     assert len(results) == 6 * len(pairs)
+
+
+# -- one W evaluator on the Green store --------------------------------------
+
+def _loop_store_value(store, rows, kappas):
+    """W of one configuration, one term at a time: the reference evaluator."""
+    w = 0.0
+    k = len(rows)
+    for i in range(k):
+        w += 0.5 * kappas[i] ** 2 * store.H[rows[i]]
+        for j in range(i + 1, k):
+            w -= kappas[i] * kappas[j] * store.G[rows[i], rows[j]]
+    return w
+
+
+@functools.cache
+def _filled_store():
+    solver = fresh_disk64()
+    store = kirchhoff._store(solver)
+    store.rows(solver, _INTERIOR[::len(_INTERIOR) // 12][:12])
+    return solver, store
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.integers(0, 11), min_size=k, max_size=k),
+             min_size=1, max_size=6),
+    st.lists(_strength, min_size=k, max_size=k))))
+def test_store_values_matches_loop(case):
+    configs, strengths = case
+    kap = np.array([-s if neg else s for s, neg in strengths])
+    _, store = _filled_store()
+    R = np.array(configs)  # (Q, k): row of vortex j in configuration q
+    stacked = store.values(tuple(R.T), kap)
+    assert stacked.tolist() == [_loop_store_value(store, r, kap) for r in R]
+    for r in R:
+        assert store.values(r, kap) == _loop_store_value(store, r, kap)
+    if kap.size == 2:  # the scan's broadcast table over all row pairs
+        a = R[:, 0]
+        table = store.values((a[:, None], a[None, :]), kap)
+        assert table.tolist() == [[_loop_store_value(store, (x, y), kap)
+                                   for y in a] for x in a]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.lists(cells64, min_size=k, max_size=k, unique=True),
+    st.lists(_strength, min_size=k, max_size=k))))
+def test_kr_gradient_is_central_difference_of_kr_value(case):
+    cells, strengths = case
+    kap = np.array([-s if neg else s for s, neg in strengths])
+    pts = _G64.cells_xy[cells]
+    k = kap.size
+    assume(all(np.hypot(*(pts[i] - pts[j])) >= 7.0 * _G64.h
+               for i in range(k) for j in range(i + 1, k)))
+    solver, _ = _filled_store()
+    grad = vp.kr_gradient(solver, cfg(pts, kap))
+    probes = _G64.compass(np.array(cells), 2)  # left, right, down, up
+    for i in range(k):
+        for c in range(2):
+            hi, lo = pts.copy(), pts.copy()
+            hi[i], lo[i] = _G64.cells_xy[probes[i, 2 * c + 1]], _G64.cells_xy[probes[i, 2 * c]]
+            fd = (vp.kr_value(solver, cfg(hi, kap))
+                  - vp.kr_value(solver, cfg(lo, kap))) / (2.0 * (2.0 * _G64.h))
+            assert grad[i, c] == fd
+
+
+def test_unsolvable_probe_coordinate_is_skipped():
+    # a strip eight cells high: the up probe's Robin stencil leaves the
+    # mask, so neither probe of y is solved and both read NaN
+    solver = vp.PoissonSolver(vp.build_grid(vp.DomainSpec.rectangle(1.4, 0.25), 32))
+    g = solver.grid
+    cells = np.array([g.index[4, 12], g.index[4, 35]])
+    w = kirchhoff._compass_values(solver, cells, np.array([1.0, -0.7]))
+    assert np.isfinite(w[:, :2]).all() and np.isnan(w[:, 2:]).all()
+    assert solver.solve_count == 2 + 4  # the cells and their x probes
+
+
+@pytest.mark.parametrize("kw", [dict(starts=0), dict(starts=-1), dict(max_iter=-1)])
+def test_kr_minimize_rejects_bad_starts_and_iterations(disk64, kw):
+    with pytest.raises(ValueError, match="starts|max_iter"):
+        vp.kr_minimize(disk64, (1.0, -1.0), **kw)

@@ -67,6 +67,12 @@ RUNS = {
         margin_h = 8
         starts = 2
     """),
+    "krmin_asym": ("krmin", [], """
+        [grid]
+        n = 64
+        [vortex]
+        kappa2 = -0.5
+    """),
     "sweep": ("sweep", ["--jobs", "2"], """
         [sweep]
         eps = 0.15 0.125
