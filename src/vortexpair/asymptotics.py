@@ -19,7 +19,7 @@ honest observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -115,9 +115,7 @@ class CheckResult:
         return self.status == "pass"
 
     def to_dict(self):
-        return {"name": self.name, "status": self.status,
-                "measured": self.measured, "threshold": self.threshold,
-                "detail": self.detail}
+        return asdict(self)
 
 
 def energy_split(solver: PoissonSolver, state: SteadyState):
@@ -193,6 +191,9 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
         if n not in solvers:
             solvers[n] = PoissonSolver(build_grid(plan.domain, n))
 
+    steady = {f.name for f in fields(SteadyState)}
+    shared = [f.name for f in fields(SweepRecord) if f.name in steady]
+
     def one(idx: int):
         eps, n = plan.eps[idx], plan.n[idx]
         solver = solvers[n]
@@ -208,17 +209,12 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
                          residual_seed=plan.seed)
         e_pos, e_neg, inter = energy_split(solver, state)
         rec = SweepRecord(
-            eps1=eps, eps2=eps, n=n,
-            energy=state.energy, energy_pos=e_pos, energy_neg=e_neg,
-            interaction=inter, mu1=state.mu1, mu2=state.mu2,
-            diam_pos=state.diam_pos, diam_neg=state.diam_neg,
-            center_pos=state.center_pos, center_neg=state.center_neg,
+            eps1=eps, eps2=eps, n=n, energy_pos=e_pos, energy_neg=e_neg,
+            interaction=inter,
             delta_profile_pos=profile_distance(state, "pos"),
             delta_profile_neg=profile_distance(state, "neg"),
             energy_seed=float(state.energy_log[0]),
-            residual=state.residual,
-            monotone_violations=state.monotone_violations,
-            iterations=state.iterations, converged=state.converged)
+            **{name: getattr(state, name) for name in shared})
         return rec, state
 
     if jobs > 1:
@@ -426,6 +422,9 @@ def gradient_measure_diagnostic(solver: PoissonSolver, p: float = 2.0,
                 c = (rng.uniform(xlo, xhi), rng.uniform(ylo, yhi))
                 if g.domain.boundary_distance(*c) >= rs + 2 * g.h:
                     break
+            else:
+                raise ValueError("could not place support disks of radius "
+                                 f"{rs:g} inside the domain")
             sel = np.hypot(xy[:, 0] - c[0], xy[:, 1] - c[1]) < rs
             f = np.zeros(g.ncells)
             f[sel] = rng.uniform(0.1, 1.0, int(sel.sum()))

@@ -16,12 +16,14 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import (SweepPlan, ascent_check, center_convergence_check,
-                          core_size_check, fit_energy_slope,
+from .asymptotics import (SweepPlan, SweepRecord, ascent_check,
+                          center_convergence_check, core_size_check,
+                          fit_energy_slope,
                           gradient_measure_diagnostic,
                           interaction_boundedness, multiplier_check,
                           profile_convergence, run_sweep, signature)
@@ -257,7 +259,6 @@ def cmd_steady(cfg: _Cfg, outdir: str, seed: int) -> int:
     state = _steady_state(
         cfg, solver, seed,
         residual_tests=cfg.get("steady", "residual_tests", int, 12))
-    spec = state.spec
     lines = _prov_lines(prov)
     files = {}
     for name, field in (("zeta", state.zeta), ("psi", state.psi)):
@@ -267,28 +268,11 @@ def cmd_steady(cfg: _Cfg, outdir: str, seed: int) -> int:
                   extra={"provenance": prov})
         files[name] = txt
         files[name + "_pgm"] = pgm
-    payload = {
-        "provenance": prov,
-        "domain": _domain_dict(solver.grid.domain),
-        "grid": {"n": solver.grid.n, "h": solver.grid.h},
-        "spec": {"eps1": spec.eps1, "eps2": spec.eps2,
-                 "kappa1": spec.kappa1, "kappa2": spec.kappa2,
-                 "p": spec.p, "profile": spec.profile, "gamma": spec.gamma},
-        "energy": state.energy,
-        "energy_log": state.energy_log,
-        "mu1": state.mu1,
-        "mu2": state.mu2,
-        "center_pos": state.center_pos,
-        "center_neg": state.center_neg,
-        "diam_pos": state.diam_pos,
-        "diam_neg": state.diam_neg,
-        "iterations": state.iterations,
-        "converged": state.converged,
-        "residual": state.residual,
-        "monotone_violations": state.monotone_violations,
-        "note": state.note,
-        "files": files,
-    }
+    payload = {f.name: getattr(state, f.name) for f in fields(state)
+               if f.name not in ("zeta", "psi", "prototype")}
+    payload.update(spec=asdict(state.spec), provenance=prov,
+                   domain=_domain_dict(solver.grid.domain),
+                   grid={"n": solver.grid.n, "h": solver.grid.h}, files=files)
     _write_json(os.path.join(outdir, "steady.json"), payload)
     return 0 if state.converged else 2
 
@@ -332,20 +316,14 @@ def cmd_sweep(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
     checks += ascent_check(result)
 
     prov = _provenance(cfg, max(ns))
-    header = ["eps1", "eps2", "n", "energy", "energy_pos", "energy_neg",
-              "interaction", "mu1", "mu2", "diam_pos", "diam_neg",
-              "center_pos_x", "center_pos_y", "center_neg_x", "center_neg_y",
-              "delta_profile_pos", "delta_profile_neg", "energy_seed",
-              "residual", "monotone_violations", "iterations", "converged"]
-    rows = []
-    for r in result.records:
-        rows.append([r.eps1, r.eps2, r.n, r.energy, r.energy_pos,
-                     r.energy_neg, r.interaction, r.mu1, r.mu2, r.diam_pos,
-                     r.diam_neg, float(r.center_pos[0]), float(r.center_pos[1]),
-                     float(r.center_neg[0]), float(r.center_neg[1]),
-                     r.delta_profile_pos, r.delta_profile_neg, r.energy_seed,
-                     r.residual, r.monotone_violations, r.iterations,
-                     r.converged])
+    # one column per SweepRecord field; a 2-vector becomes <name>_x, <name>_y
+    cols = [f.name for f in fields(SweepRecord)]
+    vec = [np.ndim(getattr(result.records[0], c)) == 1 for c in cols]
+    header = [h for c, v in zip(cols, vec)
+              for h in ((c + "_x", c + "_y") if v else (c,))]
+    rows = [[x for c, v in zip(cols, vec)
+             for x in (getattr(r, c) if v else (getattr(r, c),))]
+            for r in result.records]
     _write_csv(os.path.join(outdir, "records.csv"), _prov_lines(prov),
                header, rows)
     all_pass = all(c.status == "pass" for c in checks)
@@ -374,18 +352,9 @@ def cmd_krmin(cfg: _Cfg, outdir: str, seed: int) -> int:
                       margin_h=cfg.get("kr", "margin_h", float, 6.0),
                       starts=cfg.get("kr", "starts", int, 3),
                       max_iter=cfg.get("kr", "max_iter", int, 100))
-    payload = {
-        "provenance": prov,
-        "domain": _domain_dict(dom),
-        "kappas": [k1, k2],
-        "points": res.points,
-        "value": res.value,
-        "signature": signature(res.points[0], res.points[1], dom),
-        "starts": res.starts,
-        "iterations": res.iterations,
-        "degenerate_starts": res.degenerate_starts,
-        "scan_sites": res.scan_sites,
-    }
+    payload = asdict(res)
+    payload.update(provenance=prov, domain=_domain_dict(dom), kappas=[k1, k2],
+                   signature=signature(res.points[0], res.points[1], dom))
     _write_json(os.path.join(outdir, "krmin.json"), payload)
     return 0
 

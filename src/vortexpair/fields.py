@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,10 +90,14 @@ def center_of_mass(f: ScalarField):
 def support_diameter(f: ScalarField, threshold: float = 0.0) -> float:
     """Max pairwise distance between cells with |f| > threshold.
 
-    Exact O(k^2) sweep; supports here are a few thousand cells at most.
+    Exact: the farthest pair are convex-hull vertices of the support,
+    and every hull vertex lacks a 4-neighbour in the support, so only
+    such edge cells are paired (O(perimeter^2) memory, not O(k^2)).
     """
     sel = np.abs(f.values) > threshold
-    pts = f.grid.cells_xy[sel]
+    nb = f.grid.neighbors[sel]
+    edge = ((nb < 0) | ~sel[nb]).any(axis=1)
+    pts = f.grid.cells_xy[sel][edge]
     if pts.shape[0] < 2:
         return 0.0
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
@@ -229,9 +233,7 @@ class SuiteOutcome:
         return self.violations == 0
 
     def to_dict(self):
-        return {"name": self.name, "instances": self.instances,
-                "violations": self.violations,
-                "worst_excess": self.worst_excess, "tol": self.tol}
+        return asdict(self)
 
 
 def hardy_littlewood_suite(instances: int = 100, seed: int = 0,

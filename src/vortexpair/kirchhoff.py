@@ -231,10 +231,34 @@ def kr_gradient(solver: PoissonSolver, cfg: KRConfiguration) -> np.ndarray:
 # -- minimization ----------------------------------------------------------
 
 def _scan_lattice(solver: PoissonSolver, margin_h: float):
+    # boundary distance is 1-Lipschitz, so above 2h every site's 2-cell
+    # Robin stencil stays inside the mask
+    if not margin_h > 2:
+        raise ValueError(f"margin_h must be > 2 cells (got {margin_h!r})")
     g = solver.grid
     lattice = g.index[_STRIDE // 2::_STRIDE, _STRIDE // 2::_STRIDE].ravel()
     return [int(c) for c in lattice[lattice >= 0] if g.domain.boundary_distance(
         *map(float, g.cells_xy[c])) >= margin_h * g.h]
+
+
+def _start_pairs(W: np.ndarray, starts: int, symmetric: bool) -> list:
+    """The `starts` least finite entries (a, b) of W in stable flat order,
+    one per unordered pair when `symmetric`.
+
+    Each unordered pair fills at most 2 entries, so the stable order's
+    prefix of entries <= the (2 starts)-th smallest value holds them all.
+    """
+    m = W.shape[0]
+    flat = W.ravel()
+    k = min(2 * starts, flat.size)
+    cand = np.flatnonzero(flat <= np.partition(flat, k - 1)[k - 1])
+    chosen = {}  # unordered pair if symmetric -> its first (a, b) by W
+    for f in cand[np.argsort(flat[cand], kind="stable")]:
+        a, b = divmod(int(f), m)
+        if len(chosen) == starts or not np.isfinite(W[a, b]):
+            break
+        chosen.setdefault((min(a, b), max(a, b)) if symmetric else (a, b), (a, b))
+    return list(chosen.values())
 
 
 def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
@@ -267,13 +291,7 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
     W[sep < 4.0 * g.h] = np.inf
     np.fill_diagonal(W, np.inf)
 
-    symmetric = abs(kappas[0]) == abs(kappas[1])
-    chosen = {}  # unordered pair if symmetric -> its first (a, b) by W
-    for f in np.argsort(W, axis=None, kind="stable"):
-        a, b = divmod(int(f), m)
-        if len(chosen) == starts or not np.isfinite(W[a, b]):
-            break
-        chosen.setdefault((min(a, b), max(a, b)) if symmetric else (a, b), (a, b))
+    chosen = _start_pairs(W, starts, abs(kappas[0]) == abs(kappas[1]))
 
     def snapped_value(p):
         try:
@@ -284,7 +302,7 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
 
     total_iters = 0
     finals = []
-    for a, b in chosen.values():
+    for a, b in chosen:
         p = np.array([pts[a], pts[b]])
         w, cells = snapped_value(p)
         for _ in range(max_iter):

@@ -228,6 +228,13 @@ def test_gradient_measure_shape_and_growth(disk64):
     assert out.growth() <= 2.5
 
 
+def test_gradient_measure_rejects_unplaceable_support():
+    # a 0.4 disk cannot fit in a strip of height 0.5
+    strip = vp.PoissonSolver(vp.build_grid(vp.DomainSpec.rectangle(2.0, 0.5), 32))
+    with pytest.raises(ValueError, match="could not place"):
+        vp.gradient_measure_diagnostic(strip, base_radius=0.4)
+
+
 def test_truncated_stream_gradient_oracle(disk96):
     # u = (psi - c)+ for the centered unit patch, cut at level psi(r_c):
     # the squared gradient norm is 1/(8 pi) + ln(r_c/eps)/(2 pi)

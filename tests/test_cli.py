@@ -147,6 +147,13 @@ def test_krmin_rejects_zero_starts(tmp_path, capsys):
     assert not (tmp_path / "krmin.json").exists()
 
 
+def test_krmin_rejects_small_margin(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[grid]\nn = 64\n[kr]\nmargin_h = 1\n")
+    assert run(["krmin", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "margin_h" in capsys.readouterr().err
+    assert not (tmp_path / "krmin.json").exists()
+
+
 def test_solve_error_exits_2(tmp_path, capsys, monkeypatch):
     def stalled(self, rhs):
         raise SolveError("poisson solve stalled: test")

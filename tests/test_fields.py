@@ -65,6 +65,40 @@ def test_support_diameter_two_cells(disk32):
     assert vp.support_diameter(vp.ScalarField(disk32, vals)) == 0.0
 
 
+def _diameter_all_pairs(f, threshold=0.0):
+    """Reference: the O(k^2) sweep over every support cell."""
+    pts = f.grid.cells_xy[np.abs(f.values) > threshold]
+    if pts.shape[0] < 2:
+        return 0.0
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    return float(np.sqrt(d2.max()))
+
+
+_DIAMETER_GRIDS = [vp.build_grid(vp.DomainSpec.unit_disk(), 24),
+                   vp.build_grid(vp.DomainSpec.rectangle(1.3, 0.7), 20),
+                   vp.plane_grid(0.1, 9), vp.plane_grid(1.0 / 7, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_DIAMETER_GRIDS), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.floats(0.0, 0.99))
+def test_support_diameter_matches_all_pairs(grid, seed, blobs, level):
+    rng = np.random.default_rng(seed)
+    if blobs:  # a few signed bumps: connected, possibly non-convex supports
+        xy = grid.cells_xy
+        vals = np.zeros(grid.ncells)
+        for _ in range(rng.integers(1, 4)):
+            c = rng.uniform(xy.min(axis=0), xy.max(axis=0))
+            r = rng.uniform(0.05, 0.5)
+            vals += rng.choice([-1.0, 1.0]) * np.exp(
+                -((xy - c) ** 2).sum(axis=1) / (r * r))
+    else:  # scattered cells
+        vals = rng.uniform(-1.0, 1.0, grid.ncells)
+    threshold = level * np.abs(vals).max()
+    f = vp.ScalarField(grid, vals)
+    assert vp.support_diameter(f, threshold) == _diameter_all_pairs(f, threshold)
+
+
 def test_rearrangement_preserves_multiset(disk32):
     rng = np.random.default_rng(11)
     vals = rng.uniform(0.0, 2.0, size=disk32.cells_xy.shape[0])

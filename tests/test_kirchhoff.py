@@ -430,3 +430,36 @@ def test_unsolvable_probe_coordinate_is_skipped():
 def test_kr_minimize_rejects_bad_starts_and_iterations(disk64, kw):
     with pytest.raises(ValueError, match="starts|max_iter"):
         vp.kr_minimize(disk64, (1.0, -1.0), **kw)
+
+
+def _start_pairs_full_sort(W, starts, symmetric):
+    """Reference: walk the stable argsort of the whole table."""
+    chosen = {}
+    for f in np.argsort(W, axis=None, kind="stable"):
+        a, b = divmod(int(f), W.shape[0])
+        if len(chosen) == starts or not np.isfinite(W[a, b]):
+            break
+        chosen.setdefault((min(a, b), max(a, b)) if symmetric else (a, b), (a, b))
+    return list(chosen.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda m: st.lists(
+           st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf]),
+           min_size=m * m, max_size=m * m)),
+       st.integers(1, 6), st.booleans(), st.booleans())
+def test_start_pairs_match_full_sort(vals, starts, mirror, symmetric):
+    m = math.isqrt(len(vals))
+    W = np.array(vals).reshape(m, m)
+    if mirror:  # equal strengths give a symmetric table
+        W = np.minimum(W, W.T)
+    assert (kirchhoff._start_pairs(W, starts, symmetric)
+            == _start_pairs_full_sort(W, starts, symmetric))
+
+
+@pytest.mark.parametrize("margin_h", [2.0, 1.0, 0.0, float("nan")])
+def test_scan_margin_floor(disk64, margin_h):
+    with pytest.raises(ValueError, match="margin_h"):
+        vp.kr_minimize(disk64, (1.0, -1.0), margin_h=margin_h)
+    with pytest.raises(ValueError, match="margin_h"):
+        kirchhoff.robin_scan_center(disk64, margin_h=margin_h)

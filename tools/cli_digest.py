@@ -80,6 +80,13 @@ RUNS = {
         kr_n = 48
         residual_tests = 2
     """),
+    "sweep_single": ("sweep", [], """
+        [sweep]
+        eps = 0.15
+        n = 64
+        kr_n = 48
+        residual_tests = 2
+    """),
     "evolve_pv_given": ("evolve", [], """
         [grid]
         n = 64
