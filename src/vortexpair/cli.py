@@ -145,6 +145,8 @@ def _grid_n(cfg: _Cfg) -> int:
 
 
 def _check_resolution(eps: float, n: int, where: str) -> None:
+    if not np.isfinite(eps):
+        raise ConfigError(f"{where}: must be finite (got {eps!r})")
     if eps * n < 8.0 - 1e-12:
         raise ConfigError(
             f"{where}: resolution rule eps/h >= 8 violated "
@@ -182,10 +184,10 @@ def _steady_state(cfg: _Cfg, solver: PoissonSolver, seed: int,
     n = solver.grid.n
     eps1 = cfg.get("steady", "eps1", float)
     eps2 = cfg.get("steady", "eps2", float, eps1)
-    spec = _spec_from(cfg, eps1, eps2)
     _check_resolution(eps1, n, "[steady] eps1")
-    if spec.eps2 > 0:
+    if eps2 != 0:  # 0 selects the single-signed case
         _check_resolution(eps2, n, "[steady] eps2")
+    spec = _spec_from(cfg, eps1, eps2)
     init_kind = cfg.get("steady", "init", str, "kr_seed").strip()
     if init_kind not in ("kr_seed", "random"):
         raise ConfigError(f"[steady] init: unknown init {init_kind!r}")
@@ -329,9 +331,7 @@ def cmd_sweep(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
     all_pass = all(c.status == "pass" for c in checks)
     verdict = {
         "provenance": prov,
-        "kr": {"points": result.krmin.points, "value": result.krmin.value,
-               "signature": result.kr_signature,
-               "degenerate_starts": result.krmin.degenerate_starts},
+        "kr": dict(asdict(result.krmin), signature=result.kr_signature),
         "checks": [c.to_dict() for c in checks],
         "all_pass": all_pass,
     }
@@ -427,9 +427,8 @@ def cmd_diagnose(cfg: _Cfg, outdir: str, seed: int) -> int:
         "provenance": prov,
         "hardy_littlewood": hl.to_dict(),
         "riesz": rz.to_dict(),
-        "gradient_measure": {"radii": gm.radii, "max_ratio": gm.max_ratio,
-                             "growth": gm.growth(), "threshold": 2.0,
-                             "samples": gm.samples},
+        "gradient_measure": dict(asdict(gm), growth=gm.growth(),
+                                 threshold=2.0),
         "all_pass": hl.passed and rz.passed and growth_ok,
     }
     _write_json(os.path.join(outdir, "diagnose.json"), payload)

@@ -239,6 +239,8 @@ class SuiteOutcome:
 def hardy_littlewood_suite(instances: int = 100, seed: int = 0,
                            half_cells: int = 12, tol: float = 1e-10) -> SuiteOutcome:
     """Sum(u v) <= Sum(u* v*) over random nonnegative field pairs."""
+    if instances < 1:  # zero instances would pass without testing anything
+        raise ValueError(f"instances must be >= 1 (got {instances})")
     plane = plane_grid(1.0 / (2 * half_cells), half_cells)
     rng = np.random.default_rng(seed)
     h2 = plane.cell_area
@@ -280,6 +282,8 @@ def riesz_suite(instances: int = 100, seed: int = 0, half_cells: int = 16,
     both sides by the same amount (rearrangement preserves the sums of u
     and w exactly), so only its decreasing shape matters.
     """
+    if instances < 1:  # zero instances would pass without testing anything
+        raise ValueError(f"instances must be >= 1 (got {instances})")
     plane = plane_grid(1.0 / (2 * half_cells), half_cells)
     rng = np.random.default_rng(seed)
     xy = plane.cells_xy

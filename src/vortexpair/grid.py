@@ -8,8 +8,8 @@ of these grids (Poisson solves, rearrangement bookkeeping, quadrature)
 works on the same flat arrays in row-major (y, x) order, so cell k of
 one field always refers to the same physical cell in another.
 
-Boundary closure is by cell flags: a cell whose 4-neighborhood leaves
-the mask is marked, and operators decide what to do there (the Dirichlet
+Boundary closure is by the neighbor table: a 4-neighbor that leaves the
+mask reads -1, and operators decide what to do there (the Dirichlet
 Laplacian reads zero ghost values, gradients fall back to one-sided
 differences).
 """
@@ -71,35 +71,26 @@ class DomainSpec:
         ys = [v[1] for v in self.vertices]
         return (min(xs), min(ys), max(xs), max(ys))
 
-    def contains(self, x: float, y: float) -> bool:
-        """Strict interior test for a single point."""
+    def contains(self, x, y):
+        """Strict interior test; scalars or arrays, elementwise."""
         if self.kind == "unit_disk":
             return x * x + y * y < 1.0
         if self.kind == "rectangle":
-            return 0.0 < x < self.width and 0.0 < y < self.height
+            return (0.0 < x) & (x < self.width) & (0.0 < y) & (y < self.height)
         return _point_in_polygon(self.vertices, x, y)
 
-    def contains_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        if self.kind == "unit_disk":
-            return xs * xs + ys * ys < 1.0
-        if self.kind == "rectangle":
-            return (xs > 0.0) & (xs < self.width) & (ys > 0.0) & (ys < self.height)
-        out = np.empty(xs.shape, dtype=bool)
-        flat_x, flat_y = xs.ravel(), ys.ravel()
-        res = [_point_in_polygon(self.vertices, float(px), float(py))
-               for px, py in zip(flat_x, flat_y)]
-        out.ravel()[:] = res
-        return out
+    def boundary_distance(self, x, y):
+        """Distance to the boundary; positive inside, negative outside.
 
-    def boundary_distance(self, x: float, y: float) -> float:
-        """Distance to the boundary; positive inside, negative outside."""
+        Scalars or arrays, elementwise.
+        """
         if self.kind == "unit_disk":
-            return 1.0 - math.hypot(x, y)
+            return 1.0 - np.hypot(x, y)
         if self.kind == "rectangle":
-            d = min(x, self.width - x, y, self.height - y)
-            return d
+            return np.minimum(np.minimum(x, self.width - x),
+                              np.minimum(y, self.height - y))
         d = _polygon_edge_distance(self.vertices, x, y)
-        return d if self.contains(x, y) else -d
+        return np.where(self.contains(x, y), d, -d)[()]
 
     def centroid(self):
         if self.kind == "unit_disk":
@@ -132,18 +123,19 @@ def _polygon_centroid(verts):
     return (cx / (6.0 * a), cy / (6.0 * a))
 
 
-def _point_in_polygon(verts, x: float, y: float) -> bool:
+def _point_in_polygon(verts, x, y):
     # even-odd ray crossing; boundary points count as outside
-    inside = False
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    inside = np.zeros(np.broadcast(x, y).shape, dtype=bool)
     k = len(verts)
     for i in range(k):
         x0, y0 = verts[i]
         x1, y1 = verts[(i + 1) % k]
-        if (y0 > y) != (y1 > y):
-            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if x < xc:
-                inside = not inside
-    return inside
+        if y0 == y1:
+            continue  # a horizontal edge never crosses the ray
+        xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        inside ^= ((y0 > y) != (y1 > y)) & (x < xc)
+    return inside[()]
 
 
 def _segments_cross(p, q, r, s) -> bool:
@@ -168,16 +160,16 @@ def _polygon_self_intersects(verts) -> bool:
     return False
 
 
-def _polygon_edge_distance(verts, x: float, y: float) -> float:
-    best = math.inf
+def _polygon_edge_distance(verts, x, y):
+    best = np.inf
     k = len(verts)
     for i in range(k):
         x0, y0 = verts[i]
         x1, y1 = verts[(i + 1) % k]
         dx, dy = x1 - x0, y1 - y0
         L2 = dx * dx + dy * dy
-        t = 0.0 if L2 == 0 else max(0.0, min(1.0, ((x - x0) * dx + (y - y0) * dy) / L2))
-        best = min(best, math.hypot(x - (x0 + t * dx), y - (y0 + t * dy)))
+        t = 0.0 if L2 == 0 else np.clip(((x - x0) * dx + (y - y0) * dy) / L2, 0.0, 1.0)
+        best = np.minimum(best, np.hypot(x - (x0 + t * dx), y - (y0 + t * dy)))
     return best
 
 
@@ -191,7 +183,6 @@ class Grid:
     x0, y0 : lower-left corner of the box
     index : (ny, nx) int array, -1 outside, else flat cell id
     cells_xy : (ncells, 2) cell-center coordinates, row-major (y, x) order
-    boundary : (ncells,) bool, True where a 4-neighbor leaves the mask
     neighbors : (ncells, 4) flat ids of (left, right, down, up), -1 missing
     """
 
@@ -214,7 +205,6 @@ class Grid:
         cy = y0 + (iy + 0.5) * self.h
         self.cells_xy = np.column_stack([cx, cy])
         self.neighbors = self.compass(np.arange(self.ncells), 1)
-        self.boundary = (self.neighbors < 0).any(axis=1)
 
     def compass(self, cells, step: int = 2) -> np.ndarray:
         """Flat ids `step` cells (left, right, down, up) of `cells`; -1 off the mask.
@@ -251,10 +241,6 @@ class Grid:
         img[self.cell_iy, self.cell_ix] = values
         return img
 
-    def boundary_clearance(self, x, y) -> float:
-        """Distance from a point to the domain boundary (grid-free)."""
-        return self.domain.boundary_distance(float(x), float(y))
-
 
 def build_grid(domain: DomainSpec, n: int) -> Grid:
     """Mask the bounding box of `domain` with n cells per unit length.
@@ -272,7 +258,7 @@ def build_grid(domain: DomainSpec, n: int) -> Grid:
     xs = xlo + (np.arange(nx) + 0.5) * h
     ys = ylo + (np.arange(ny) + 0.5) * h
     X, Y = np.meshgrid(xs, ys, indexing="xy")
-    mask = domain.contains_many(X, Y)
+    mask = domain.contains(X, Y)
     if not mask.any():
         raise ValueError("empty domain")
     return Grid(domain, h, xlo, ylo, nx, ny, mask, n=n)

@@ -63,6 +63,8 @@ class KRConfiguration:
         self.kappas = np.atleast_1d(np.asarray(self.kappas, dtype=float))
         if self.points.shape != (self.kappas.size, 2):
             raise ValueError("points and kappas disagree on vortex count")
+        if not (np.isfinite(self.points).all() and np.isfinite(self.kappas).all()):
+            raise ValueError("vortex positions and strengths must be finite")
         if (self.kappas == 0).any():
             raise ValueError("vortex strengths must be nonzero")
 
@@ -170,9 +172,8 @@ def _snapped_cells(solver: PoissonSolver, pts: np.ndarray, margin: float) -> np.
     """Cells containing `pts`, after checking boundary clearance >= `margin`
     (a length) and separations >= 4h, which also keeps the cells distinct."""
     g = solver.grid
-    for x, y in pts:
-        if g.domain.boundary_distance(float(x), float(y)) < margin:
-            raise ValueError(f"vortex too close to boundary (need {margin / g.h:g}h)")
+    if (g.domain.boundary_distance(pts[:, 0], pts[:, 1]) < margin).any():
+        raise ValueError(f"vortex too close to boundary (need {margin / g.h:g}h)")
     k = pts.shape[0]
     for i in range(k):
         for j in range(i + 1, k):
@@ -230,15 +231,25 @@ def kr_gradient(solver: PoissonSolver, cfg: KRConfiguration) -> np.ndarray:
 
 # -- minimization ----------------------------------------------------------
 
-def _scan_lattice(solver: PoissonSolver, margin_h: float):
+def _lattice(g):
+    """Sites every `_STRIDE` cells of the box, x-index first: their (mx, my)
+    flat ids (-1 off the mask) and clearances, from one `boundary_distance` call."""
+    ix = np.arange(_STRIDE // 2, g.nx, _STRIDE)
+    iy = np.arange(_STRIDE // 2, g.ny, _STRIDE)
+    clear = g.domain.boundary_distance(g.x0 + (ix[:, None] + 0.5) * g.h,
+                                       g.y0 + (iy[None, :] + 0.5) * g.h)
+    return g.index[iy[None, :], ix[:, None]], clear
+
+
+def _scan_lattice(solver: PoissonSolver, margin_h: float) -> np.ndarray:
+    """Lattice sites with clearance >= margin_h cells, in row-major (y, x) order."""
     # boundary distance is 1-Lipschitz, so above 2h every site's 2-cell
     # Robin stencil stays inside the mask
     if not margin_h > 2:
         raise ValueError(f"margin_h must be > 2 cells (got {margin_h!r})")
-    g = solver.grid
-    lattice = g.index[_STRIDE // 2::_STRIDE, _STRIDE // 2::_STRIDE].ravel()
-    return [int(c) for c in lattice[lattice >= 0] if g.domain.boundary_distance(
-        *map(float, g.cells_xy[c])) >= margin_h * g.h]
+    ids, clear = _lattice(solver.grid)
+    keep = (ids >= 0) & (clear >= margin_h * solver.grid.h)
+    return ids.T[keep.T]
 
 
 def _start_pairs(W: np.ndarray, starts: int, symmetric: bool) -> list:
@@ -272,8 +283,8 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
     below cell resolution.  Deterministic for a fixed grid and stride.
     """
     kappas = np.asarray(kappas, dtype=float)
-    if kappas.shape != (2,) or not (kappas[0] > 0 > kappas[1]):
-        raise ValueError("kr_minimize expects strengths (positive, negative)")
+    if kappas.shape != (2,) or not (np.inf > kappas[0] > 0 > kappas[1] > -np.inf):
+        raise ValueError("kr_minimize expects finite strengths (positive, negative)")
     if starts < 1:
         raise ValueError("starts must be >= 1")
     if max_iter < 0:
@@ -284,11 +295,9 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
         raise ValueError("domain too small for the scan lattice")
     store = _store(solver)
     r = store.rows(solver, sites)
-    m = len(sites)
     W = store.values((r[:, None], r[None, :]), kappas)
     pts = g.cells_xy[sites]
-    sep = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
-    W[sep < 4.0 * g.h] = np.inf
+    # distinct sites are _STRIDE cells apart, so only the diagonal is too close
     np.fill_diagonal(W, np.inf)
 
     chosen = _start_pairs(W, starts, abs(kappas[0]) == abs(kappas[1]))
@@ -331,7 +340,7 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
     refined = _parabolic_refine(solver, p0, cells0, kappas, w0)
     return KRMinimum(points=refined, value=float(w0), starts=len(chosen),
                      iterations=total_iters, degenerate_starts=tie,
-                     scan_sites=m)
+                     scan_sites=len(sites))
 
 
 def _parabolic_refine(solver, p0, cells0, kappas, w0):
@@ -369,27 +378,17 @@ class _KRInterpolant:
     def __init__(self, solver: PoissonSolver):
         g = solver.grid
         self.grid = g
-        self.stride = stride = _STRIDE
-        ix = np.arange(stride // 2, g.nx, stride)
-        iy = np.arange(stride // 2, g.ny, stride)
-        if ix.size < 6 or iy.size < 6:
+        cid, clear = _lattice(g)
+        mx, my = cid.shape
+        if mx < 6 or my < 6:
             raise ValueError("grid too coarse for the vortex-flow tables")
-        self.off_x, self.off_y = ix[0], iy[0]
-        mx, my = ix.size, iy.size
-        IX, IY = np.meshgrid(ix, iy, indexing="ij")
-        cx = g.x0 + (IX + 0.5) * g.h
-        cy = g.y0 + (IY + 0.5) * g.h
-        cid = np.where(g.mask[IY.clip(0, g.ny - 1), IX.clip(0, g.nx - 1)],
-                       g.index[IY, IX], -1)
-        clear = np.array([[g.domain.boundary_distance(float(cx[a, b]), float(cy[a, b]))
-                           for b in range(my)] for a in range(mx)])
         valid = (cid >= 0) & (clear >= 4.0 * g.h)
 
         store = _store(solver)
         r = store.rows(solver, cid[valid])
         Hlat = np.zeros((mx, my))
         Hlat[valid] = store.H[r]
-        px, py = cx[valid], cy[valid]
+        px, py = g.cells_xy[cid[valid]].T
         d = np.hypot(px[:, None] - px[None, :], py[:, None] - py[None, :])
         np.fill_diagonal(d, 1.0)
         # libm log, elementwise: np.log differs from it in the last bit
@@ -410,13 +409,12 @@ class _KRInterpolant:
 
         self._H = ndimage.spline_filter(Hlat, order=5)
         self._h4 = ndimage.spline_filter(hreg, order=5)
-        margin_sites = 1.5 * stride * g.h
-        self.trust_margin = max(6.0 * g.h, margin_sites)
+        self.trust_margin = 1.5 * _STRIDE * g.h
 
     def _lat(self, xy: np.ndarray) -> np.ndarray:
         g = self.grid
-        u = ((xy[..., 0] - g.x0) / g.h - 0.5 - self.off_x) / self.stride
-        v = ((xy[..., 1] - g.y0) / g.h - 0.5 - self.off_y) / self.stride
+        u = ((xy[..., 0] - g.x0) / g.h - 0.5 - _STRIDE // 2) / _STRIDE
+        v = ((xy[..., 1] - g.y0) / g.h - 0.5 - _STRIDE // 2) / _STRIDE
         return np.stack([u, v])
 
     def H(self, xy: np.ndarray) -> np.ndarray:
@@ -457,7 +455,7 @@ class _KRInterpolant:
 
     def gradient(self, pts: np.ndarray, kappas: np.ndarray) -> np.ndarray:
         """Central differences of W, all 4k stencil points in one `values` call."""
-        eps = 1e-5 * self.grid.h * self.stride
+        eps = 1e-5 * self.grid.h * _STRIDE
         n = pts.size
         step = eps * np.eye(n).reshape(n, *pts.shape)
         w = self.values(np.concatenate([pts + step, pts - step]), kappas)

@@ -61,6 +61,9 @@ class RearrangementSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
+        for name in ("eps1", "eps2", "kappa1", "kappa2", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.kappa1 > 0:
             raise ValueError("kappa1 must be positive")
         if self.kappa2 > 0:

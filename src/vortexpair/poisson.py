@@ -48,7 +48,8 @@ class PoissonSolver:
 
     Each solve refines until the residual is REFINE_TOL relative to the
     right-hand side (at most three passes) and raises SolveError above
-    1e-10.
+    1e-10 or for a NaN residual; a non-finite right-hand side is a
+    ValueError.
     """
 
     def __init__(self, grid: Grid):
@@ -89,6 +90,8 @@ class PoissonSolver:
         if rhs.shape != (self.grid.ncells,):
             raise ValueError("rhs length does not match grid")
         scale = np.abs(rhs).max()
+        if not np.isfinite(scale):
+            raise ValueError("rhs is not finite")
         if scale == 0.0:
             return np.zeros_like(rhs)
         with self._lock:
@@ -102,7 +105,7 @@ class PoissonSolver:
                 x = x + lu.solve(r)
             self.solve_count += 1
         res = np.abs(rhs - self.matrix @ x).max()
-        if res > 1e-10 * scale:
+        if not res <= 1e-10 * scale:  # NaN fails too
             raise SolveError(
                 f"poisson solve stalled: residual {res:.3e} vs rhs scale {scale:.3e}"
             )
@@ -180,7 +183,7 @@ def robin(solver: PoissonSolver, x) -> float:
     """
     g = solver.grid
     cid = _source_cell(solver, x)
-    if g.boundary_clearance(*g.cells_xy[cid]) < 4.0 * g.h:
+    if g.domain.boundary_distance(*g.cells_xy[cid]) < 4.0 * g.h:
         raise ValueError("robin near boundary unreliable")
     return float(robin_solve(solver, cid)[0])
 

@@ -1,9 +1,11 @@
 import json
 import textwrap
+from dataclasses import fields
 
 import pytest
 
 from vortexpair import cli
+from vortexpair.kirchhoff import KRMinimum
 from vortexpair.poisson import PoissonSolver, SolveError
 
 
@@ -164,6 +166,52 @@ def test_solve_error_exits_2(tmp_path, capsys, monkeypatch):
     assert "poisson solve stalled" in capsys.readouterr().err
 
 
+def test_steady_non_finite_strength_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+        [grid]
+        n = 32
+        [vortex]
+        kappa1 = inf
+        [steady]
+        eps1 = 0.25
+        init = random
+        residual_tests = 0
+    """)
+    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "kappa1 must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "steady.json").exists()
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("steady", "[grid]\nn = 64\n[steady]\neps1 = inf\n", "[steady] eps1"),
+    ("steady", "[grid]\nn = 64\n[steady]\neps1 = 0.15\neps2 = nan\n",
+     "[steady] eps2"),
+    ("evolve", "[grid]\nn = 64\n[steady]\neps1 = nan\n[evolve]\nmode = pde\n",
+     "[steady] eps1"),
+    ("sweep", "[sweep]\neps = 0.15 inf\nn = 64\n", "[sweep] eps"),
+], ids=["steady_eps1", "steady_eps2", "evolve_eps1", "sweep_eps"])
+def test_non_finite_eps_exits_1(tmp_path, capsys, command, text, key):
+    cfg = write_cfg(tmp_path, text)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{key}: must be finite" in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("krmin", "[grid]\nn = 48\n[vortex]\nkappa1 = inf\n"),
+    ("evolve", "[grid]\nn = 48\n[vortex]\nkappa2 = nan\n[evolve]\nmode = pv\n"
+               "positions = 0.4,0 ; -0.4,0\nT = 0.01\n"),
+    ("evolve", "[grid]\nn = 48\n[evolve]\nmode = pv\n"
+               "positions = nan,0 ; -0.4,0\nT = 0.01\n"),
+], ids=["krmin_kappa1", "pv_kappa2", "pv_position"])
+def test_point_vortex_non_finite_exits_1(tmp_path, capsys, command, text):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_jobs_only_on_sweep(tmp_path, capsys):
     cfg = write_cfg(tmp_path, STEADY_CFG)
     assert run(["steady", "--config", cfg, "--out", str(tmp_path),
@@ -287,6 +335,21 @@ def test_sweep_single_eps_insufficient(tmp_path):
     assert verdict["all_pass"] is False
 
 
+def test_verdict_kr_block_covers_krminimum(tmp_path):
+    cfg = write_cfg(tmp_path, """
+        [sweep]
+        eps = 0.15
+        n = 64
+        kr_n = 48
+        residual_tests = 2
+    """)
+    out = tmp_path / "o"
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    kr = json.loads((out / "verdict.json").read_text())["kr"]
+    assert set(kr) == {f.name for f in fields(KRMinimum)} | {"signature"}
+    assert kr["scan_sites"] > 0 and kr["starts"] >= 1
+
+
 def test_jobs_validation(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SWEEP_CFG)
     assert run(["sweep", "--config", cfg, "--out", str(tmp_path),
@@ -401,3 +464,11 @@ def test_diagnose_output(tmp_path):
     assert payload["riesz"]["violations"] == 0
     assert payload["gradient_measure"]["growth"] <= 2.0
     assert len(payload["gradient_measure"]["radii"]) == 3
+
+
+def test_diagnose_rejects_zero_instances(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[diagnose]\nn = 48\ninstances = 0\n")
+    out = tmp_path / "o"
+    assert run(["diagnose", "--config", cfg, "--out", str(out)]) == 1
+    assert "instances must be >= 1" in capsys.readouterr().err
+    assert not (out / "diagnose.json").exists()

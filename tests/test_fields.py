@@ -213,3 +213,11 @@ def test_pgm_output(tmp_path, disk32):
     side = json.loads((tmp_path / "f.pgm.json").read_text())
     assert side["note"] == "patch"
     assert side["max"] >= side["min"]
+
+
+@pytest.mark.parametrize("suite", [vp.hardy_littlewood_suite, vp.riesz_suite])
+@pytest.mark.parametrize("instances", [0, -3])
+def test_suites_reject_no_instances(suite, instances):
+    # zero instances would report a pass without testing anything
+    with pytest.raises(ValueError, match="instances must be >= 1"):
+        suite(instances=instances, seed=0)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vortexpair as vp
 
@@ -44,7 +48,7 @@ def test_polygon_grid_triangle():
     dom = vp.DomainSpec.polygon([(0, 0), (1, 0), (0.5, 1.0)])
     g = vp.build_grid(dom, 32)
     assert vp.measure(g, np.arange(g.cells_xy.shape[0])) == pytest.approx(0.5, rel=0.1)
-    inside = dom.contains_many(g.cells_xy[:, 0], g.cells_xy[:, 1])
+    inside = dom.contains(g.cells_xy[:, 0], g.cells_xy[:, 1])
     assert np.all(inside)
 
 
@@ -83,7 +87,7 @@ def test_boundary_clearance_bounds():
     dom = vp.DomainSpec.unit_disk()
     g = vp.build_grid(dom, 48)
     for x, y in g.cells_xy[:: max(1, g.cells_xy.shape[0] // 40)]:
-        clr = g.boundary_clearance(x, y)
+        clr = dom.boundary_distance(x, y)
         true = 1.0 - np.hypot(x, y)
         assert clr > 0.0
         assert clr <= true + 1e-12
@@ -106,3 +110,95 @@ def test_box_image_shape():
     # values recoverable at the index positions
     ok = g.index >= 0
     assert np.array_equal(img[ok], f.values[g.index[ok]])
+
+
+# -- array geometry against the per-point reference ----------------------------
+
+def _ref_contains(dom, x, y):
+    if dom.kind == "unit_disk":
+        return x * x + y * y < 1.0
+    if dom.kind == "rectangle":
+        return 0.0 < x < dom.width and 0.0 < y < dom.height
+    inside = False
+    k = len(dom.vertices)
+    for i in range(k):
+        x0, y0 = dom.vertices[i]
+        x1, y1 = dom.vertices[(i + 1) % k]
+        if (y0 > y) != (y1 > y):
+            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+            if x < xc:
+                inside = not inside
+    return inside
+
+
+def _ref_distance(dom, x, y):
+    """(distance, tolerance) by the scalar formulas, one point.
+
+    math.hypot and np.hypot may differ in the last bit, so the tolerance
+    is one ulp of the hypot term (or of 1 - r, whose rounding can follow).
+    """
+    if dom.kind == "unit_disk":
+        r = math.hypot(x, y)
+        return 1.0 - r, float(np.spacing(max(r, abs(1.0 - r))))
+    if dom.kind == "rectangle":
+        return min(x, dom.width - x, y, dom.height - y), 0.0
+    best = math.inf
+    k = len(dom.vertices)
+    for i in range(k):
+        x0, y0 = dom.vertices[i]
+        x1, y1 = dom.vertices[(i + 1) % k]
+        dx, dy = x1 - x0, y1 - y0
+        L2 = dx * dx + dy * dy
+        t = 0.0 if L2 == 0 else max(0.0, min(1.0, ((x - x0) * dx + (y - y0) * dy) / L2))
+        best = min(best, math.hypot(x - (x0 + t * dx), y - (y0 + t * dy)))
+    return (best if _ref_contains(dom, x, y) else -best), float(np.spacing(best))
+
+
+_DOMAINS = [
+    vp.DomainSpec.unit_disk(),
+    vp.DomainSpec.rectangle(1.4, 1.0),
+    vp.DomainSpec.polygon([(0, 0), (1.2, 0), (1.5, 0.8), (0.6, 1.3), (-0.2, 0.7)]),
+    vp.DomainSpec.polygon([(0, 0), (1, 0), (0.5, 1.0)]),
+    # non-convex, with a horizontal edge
+    vp.DomainSpec.polygon([(0, 0), (2, 0), (2, 1), (1, 0.4), (0, 1)]),
+]
+
+
+def _edge_points(dom):
+    if dom.kind == "unit_disk":
+        return [(math.cos(t), math.sin(t)) for t in np.linspace(0, 2 * math.pi, 9)]
+    if dom.kind == "rectangle":
+        w, h = dom.width, dom.height
+        return [(0.0, 0.5 * h), (w, 0.3 * h), (0.2 * w, 0.0), (0.7 * w, h),
+                (0.0, 0.0), (w, h)]
+    verts = dom.vertices
+    pts = list(verts)
+    for i, (x0, y0) in enumerate(verts):
+        x1, y1 = verts[(i + 1) % len(verts)]
+        pts += [(x0 + t * (x1 - x0), y0 + t * (y1 - y0)) for t in (0.25, 0.5)]
+    return pts
+
+
+_coord = st.floats(-1.6, 2.2, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(_DOMAINS))),
+       st.lists(st.tuples(_coord, _coord), min_size=1, max_size=30),
+       st.integers(0, 10))
+def test_array_geometry_matches_per_point_reference(which, free, edge_count):
+    dom = _DOMAINS[which]
+    pts = free + _edge_points(dom)[:edge_count]
+    x = np.array([p[0] for p in pts], dtype=float)
+    y = np.array([p[1] for p in pts], dtype=float)
+    inside = dom.contains(x, y)
+    dist = dom.boundary_distance(x, y)
+    assert inside.shape == dist.shape == x.shape
+    for i, (px, py) in enumerate(zip(x.tolist(), y.tolist())):
+        assert bool(inside[i]) == _ref_contains(dom, px, py)
+        assert bool(dom.contains(px, py)) == _ref_contains(dom, px, py)
+        ref, tol = _ref_distance(dom, px, py)
+        assert abs(dist[i] - ref) <= tol
+        assert dom.boundary_distance(px, py) == dist[i]
+    # a 2-d query keeps its shape and agrees with the flat one
+    assert np.array_equal(dom.contains(x[:, None], y[:, None])[:, 0], inside)

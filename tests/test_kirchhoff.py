@@ -24,7 +24,7 @@ def fresh_disk64():
 # interior cells of the disk-64 grid with room for gradient stencils
 _G64 = vp.build_grid(vp.DomainSpec.unit_disk(), 64)
 _INTERIOR = [int(c) for c in range(_G64.ncells)
-             if _G64.boundary_clearance(*_G64.cells_xy[c]) >= 7.0 * _G64.h]
+             if _G64.domain.boundary_distance(*_G64.cells_xy[c]) >= 7.0 * _G64.h]
 cells64 = st.sampled_from(_INTERIOR)
 pairs64 = st.tuples(cells64, cells64)
 
@@ -80,6 +80,21 @@ def test_kr_margin_validation(disk64):
 def test_kr_config_validation():
     with pytest.raises(ValueError):
         cfg([[0.0, 0.0]], [0.0])
+
+
+@pytest.mark.parametrize("points, kappas", [
+    ([[0.1, 0.0]], [math.inf]), ([[0.1, 0.0], [-0.1, 0.0]], [1.0, math.nan]),
+    ([[math.nan, 0.0]], [1.0])])
+def test_kr_config_rejects_non_finite(points, kappas):
+    with pytest.raises(ValueError, match="must be finite"):
+        cfg(points, kappas)
+
+
+@pytest.mark.parametrize("kappas", [(math.inf, -1.0), (1.0, -math.inf),
+                                    (math.nan, -1.0)])
+def test_kr_minimize_rejects_non_finite_strengths(disk64, kappas):
+    with pytest.raises(ValueError, match="finite strengths"):
+        vp.kr_minimize(disk64, kappas)
 
 
 def test_kr_gradient_matches_analytic(disk96):
@@ -250,7 +265,7 @@ def test_batched_surrogate_matches_single_evaluations(case):
     assume(all(np.hypot(*(pts[i] - pts[j])) >= 4.0 * _G64.h
                for i in range(k) for j in range(i + 1, k)))
     assert interp.value(pts, kap) == _loop_value(interp, pts, kap)
-    eps = 1e-5 * _G64.h * interp.stride
+    eps = 1e-5 * _G64.h * kirchhoff._STRIDE
     grad = interp.gradient(pts, kap)
     stack = [pts]
     for i in range(k):
@@ -463,3 +478,33 @@ def test_scan_margin_floor(disk64, margin_h):
         vp.kr_minimize(disk64, (1.0, -1.0), margin_h=margin_h)
     with pytest.raises(ValueError, match="margin_h"):
         kirchhoff.robin_scan_center(disk64, margin_h=margin_h)
+
+
+_SCAN_DOMAINS = [
+    (vp.DomainSpec.unit_disk(), 48),
+    (vp.DomainSpec.unit_disk(), 64),
+    (vp.DomainSpec.rectangle(1.4, 1.0), 64),
+    (vp.DomainSpec.polygon([(0, 0), (1.2, 0), (1.5, 0.8), (0.6, 1.3), (-0.2, 0.7)]), 64),
+    (vp.DomainSpec.polygon([(0, 0), (1, 0), (0.5, 1.0)]), 80),
+]
+
+
+@functools.cache
+def _scan_solver(which):
+    dom, n = _SCAN_DOMAINS[which]
+    return vp.PoissonSolver(vp.build_grid(dom, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(_SCAN_DOMAINS) - 1),
+       st.sampled_from([2.5, 4.0, 4.5, 6.0, 8.0, 12.5])
+       | st.floats(2.0, 16.0, exclude_min=True))
+def test_scan_lattice_matches_per_site_filter(which, margin_h):
+    solver = _scan_solver(which)
+    g = solver.grid
+    # reference: the row-major lattice filtered one site at a time
+    lattice = g.index[kirchhoff._STRIDE // 2::kirchhoff._STRIDE,
+                      kirchhoff._STRIDE // 2::kirchhoff._STRIDE].ravel()
+    ref = [int(c) for c in lattice[lattice >= 0] if g.domain.boundary_distance(
+        *map(float, g.cells_xy[c])) >= margin_h * g.h]
+    assert kirchhoff._scan_lattice(solver, margin_h).tolist() == ref

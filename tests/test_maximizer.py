@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 import vortexpair as vp
+from vortexpair.maximizer import _in_class
 
 
 def test_patch_prototype_mass_and_count(disk96):
@@ -324,3 +325,60 @@ def test_given_init_must_be_in_class(disk96):
     bad = vp.ScalarField(g, np.ones(g.ncells))
     with pytest.raises(ValueError):
         vp.maximize(disk96, spec, init=("given", bad))
+
+
+_SMALL = vp.build_grid(vp.DomainSpec.rectangle(0.5, 0.375), 16)  # 8 x 6 cells
+_value = strategies.sampled_from([0.5, 1.0, 2.5, 7.0])  # few values: ties
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.data())
+def test_best_response_stays_in_class(data):
+    n = _SMALL.ncells
+    n_pos = data.draw(strategies.integers(1, n))
+    n_neg = data.draw(strategies.integers(0, n - n_pos))
+    pos = sorted(data.draw(strategies.lists(_value, min_size=n_pos, max_size=n_pos)),
+                 reverse=True)
+    neg = sorted(data.draw(strategies.lists(_value, min_size=n_neg, max_size=n_neg)),
+                 reverse=True)
+    psi = data.draw(strategies.lists(
+        strategies.sampled_from([-1.0, -0.0, 0.0, 0.25, 3.0]), min_size=n, max_size=n))
+    spec = vp.RearrangementSpec(eps1=0.1, eps2=0.1, kappa1=1.0, kappa2=-1.0)
+    proto = vp.Prototype(spec=spec, h=_SMALL.h, pos=np.array(pos, dtype=float),
+                         neg=np.array(neg, dtype=float))
+    out = vp.best_response(proto, vp.ScalarField(_SMALL, np.array(psi)))
+    assert _in_class(proto, out)
+
+
+_ASCENT_SOLVERS = {
+    "disk": vp.PoissonSolver(vp.build_grid(vp.DomainSpec.unit_disk(), 48)),
+    "rect": vp.PoissonSolver(vp.build_grid(vp.DomainSpec.rectangle(2.0, 1.2), 40)),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(strategies.sampled_from(sorted(_ASCENT_SOLVERS)),
+       strategies.integers(0, 2 ** 16),
+       strategies.floats(0.2, 0.26),
+       strategies.sampled_from([-1.5, -1.0, -0.4, 0.0]),
+       strategies.sampled_from(["patch", "parabolic"]))
+def test_maximize_energy_nondecreasing_from_random_placements(
+        where, seed, eps, kappa2, profile):
+    spec = vp.RearrangementSpec(eps1=eps, eps2=eps if kappa2 else 0.0,
+                                kappa1=1.0, kappa2=kappa2, profile=profile)
+    st = vp.maximize(_ASCENT_SOLVERS[where], spec, init=("random", seed),
+                     max_iter=200, residual_tests=0)
+    log = st.energy_log
+    assert np.all(np.diff(log) >= -1e-12 * np.abs(log).max())
+
+
+@pytest.mark.parametrize("name, value", [
+    ("eps1", math.inf), ("eps2", math.inf), ("eps2", math.nan),
+    ("kappa1", math.inf), ("kappa2", math.nan), ("kappa2", -math.inf),
+    ("gamma", math.inf), ("gamma", math.nan)])
+def test_spec_rejects_non_finite(name, value):
+    kw = dict(eps1=0.15, eps2=0.15, kappa1=1.0, kappa2=-1.0,
+              profile="parabolic")
+    kw[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        vp.RearrangementSpec(**kw)

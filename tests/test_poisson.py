@@ -222,3 +222,23 @@ def test_energy_symmetry(disk64):
     a = np.sum(f1 * disk64.solve(f2)) * g.h ** 2
     b = np.sum(f2 * disk64.solve(f1)) * g.h ** 2
     assert a == pytest.approx(b, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_rhs(disk64, bad):
+    rhs = np.ones(disk64.grid.ncells)
+    rhs[5] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        disk64.solve(rhs)
+
+
+def test_solve_nan_residual_raises():
+    solver = vp.PoissonSolver(vp.build_grid(vp.DomainSpec.unit_disk(), 32))
+
+    class NanLU:
+        def solve(self, rhs):
+            return np.full_like(rhs, np.nan)
+
+    solver._lu = NanLU()
+    with pytest.raises(vp.SolveError):
+        solver.solve(np.ones(solver.grid.ncells))

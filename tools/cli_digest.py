@@ -118,6 +118,18 @@ RUNS = {
         dt = 1e-3
         save_stride = 50
     """),
+    "evolve_pv_polygon": ("evolve", [], """
+        [domain]
+        kind = polygon
+        vertices = 0,0; 1.2,0; 1.5,0.8; 0.6,1.3; -0.2,0.7
+        [grid]
+        n = 64
+        [evolve]
+        mode = pv
+        T = 0.3
+        dt = 1e-3
+        save_stride = 50
+    """),
     "evolve_pde": ("evolve", [], """
         [grid]
         n = 64
