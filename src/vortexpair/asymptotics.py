@@ -414,17 +414,11 @@ def gradient_measure_diagnostic(solver: PoissonSolver, p: float = 2.0,
     pconj = p / (p - 1.0)
     radii = base_radius / (2.0 ** np.arange(scales))
     maxes = np.zeros(scales)
-    xlo, ylo, xhi, yhi = g.domain.bounding_box()
     for si, rs in enumerate(radii):
         best = 0.0
         for _ in range(samples):
-            for _ in range(1000):
-                c = (rng.uniform(xlo, xhi), rng.uniform(ylo, yhi))
-                if g.domain.boundary_distance(*c) >= rs + 2 * g.h:
-                    break
-            else:
-                raise ValueError("could not place support disks of radius "
-                                 f"{rs:g} inside the domain")
+            c, _ = g.domain.draw_disk(rng, rs + 2 * g.h,
+                                      f"support disks of radius {rs:g}")
             sel = np.hypot(xy[:, 0] - c[0], xy[:, 1] - c[1]) < rs
             f = np.zeros(g.ncells)
             f[sel] = rng.uniform(0.1, 1.0, int(sel.sum()))

@@ -136,12 +136,20 @@ def _domain(cfg: _Cfg) -> DomainSpec:
                       "(expected disk, rectangle, or polygon)")
 
 
-def _grid_n(cfg: _Cfg) -> int:
-    n = cfg.get("grid", "n", int, 128)
+def _grid_n(cfg: _Cfg, section: str = "grid", option: str = "n") -> int:
+    n = cfg.get(section, option, int, 128)
     if n < 16:
-        raise ConfigError("[grid] n: grid too coarse, need n >= 16 cells "
-                          "per unit length")
+        raise ConfigError(f"[{section}] {option}: grid too coarse, need "
+                          "n >= 16 cells per unit length")
     return n
+
+
+def _residual_tests(cfg: _Cfg, section: str) -> int:
+    count = cfg.get(section, "residual_tests", int, 12)
+    if count < 0:
+        raise ConfigError(f"[{section}] residual_tests: must be >= 0 "
+                          f"(0 = skip), got {count}")
+    return count
 
 
 def _check_resolution(eps: float, n: int, where: str) -> None:
@@ -258,9 +266,8 @@ def _domain_dict(dom: DomainSpec) -> dict:
 
 def cmd_steady(cfg: _Cfg, outdir: str, seed: int) -> int:
     solver, prov = _solver(cfg, _grid_n(cfg))
-    state = _steady_state(
-        cfg, solver, seed,
-        residual_tests=cfg.get("steady", "residual_tests", int, 12))
+    state = _steady_state(cfg, solver, seed,
+                          residual_tests=_residual_tests(cfg, "steady"))
     lines = _prov_lines(prov)
     files = {}
     for name, field in (("zeta", state.zeta), ("psi", state.psi)):
@@ -302,9 +309,9 @@ def cmd_sweep(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
         domain=dom, eps=tuple(eps), n=tuple(ns),
         kappa1=spec.kappa1, kappa2=spec.kappa2, p=spec.p,
         profile=spec.profile, gamma=spec.gamma,
-        kr_n=cfg.get("sweep", "kr_n", int, 128),
+        kr_n=_grid_n(cfg, "sweep", "kr_n"),
         max_iter=cfg.get("sweep", "max_iter", int, 500),
-        residual_tests=cfg.get("sweep", "residual_tests", int, 12),
+        residual_tests=_residual_tests(cfg, "sweep"),
         seed=seed)
     result = run_sweep(plan, jobs=jobs)
 
@@ -415,7 +422,7 @@ def cmd_evolve(cfg: _Cfg, outdir: str, seed: int) -> int:
 
 
 def cmd_diagnose(cfg: _Cfg, outdir: str, seed: int) -> int:
-    solver, prov = _solver(cfg, cfg.get("diagnose", "n", int, 128))
+    solver, prov = _solver(cfg, _grid_n(cfg, "diagnose"))
     instances = cfg.get("diagnose", "instances", int, 100)
     p = cfg.get("vortex", "p", float, 2.0)
 

@@ -54,19 +54,9 @@ def _bilinear_box(grid, boxes, px, py):
     outs = [np.zeros(px.shape) for _ in boxes]
     for di, dj, w in ((0, 0, (1 - tx) * (1 - ty)), (1, 0, tx * (1 - ty)),
                       (0, 1, (1 - tx) * ty), (1, 1, tx * ty)):
-        ii, jj = i0 + di, j0 + dj
-        ok = (ii >= 0) & (ii < grid.nx) & (jj >= 0) & (jj < grid.ny)
-        ii, jj = ii.clip(0, grid.nx - 1), jj.clip(0, grid.ny - 1)
         for out, box in zip(outs, boxes):
-            out += w * np.where(ok, box[jj, ii], 0.0)
+            out += w * grid.box_read(box, i0 + di, j0 + dj)
     return outs
-
-
-def _padded_box(grid, values):
-    """Box image with one zero ring so 4x4 stencils never wrap."""
-    box = np.zeros((grid.ny + 2, grid.nx + 2))
-    box[1:-1, 1:-1] = grid.box_image(values)
-    return box
 
 
 _CUBIC_OFFS = (-1, 0, 1, 2)
@@ -80,8 +70,8 @@ def _cubic_weights(t):
             t * (t * t - 1.0) / 6.0)
 
 
-def _cubic_box(grid, pad, px, py):
-    """Cubic sampling of a padded box, clamped to the bilinear bounds.
+def _cubic_box(grid, box, px, py):
+    """Cubic sampling of a box image (0 outside), clamped to the bilinear bounds.
 
     The clamp keeps each value inside the min/max of the four nearest
     nodes, so the scheme cannot manufacture new extrema; without it the
@@ -95,12 +85,8 @@ def _cubic_box(grid, pad, px, py):
     lo = np.full(px.shape, np.inf)
     hi = np.full(px.shape, -np.inf)
     for a, di in enumerate(_CUBIC_OFFS):
-        ii = (i0 + di + 1).clip(0, grid.nx + 1)
-        inside_x = (i0 + di >= -1) & (i0 + di <= grid.nx)
         for b, dj in enumerate(_CUBIC_OFFS):
-            jj = (j0 + dj + 1).clip(0, grid.ny + 1)
-            inside = inside_x & (j0 + dj >= -1) & (j0 + dj <= grid.ny)
-            vals = np.where(inside, pad[jj, ii], 0.0)
+            vals = grid.box_read(box, i0 + di, j0 + dj)
             out += wx[a] * wy[b] * vals
             if di in (0, 1) and dj in (0, 1):
                 lo = np.minimum(lo, vals)
@@ -136,8 +122,7 @@ def step(solver: PoissonSolver, state: EulerState, dt: float) -> EulerState:
         raise ValueError(
             f"dt violates the CFL bound: use dt <= {4.0 * g.h / vmax:.6g}")
     px, py = _trace_feet(g, (g.box_image(v.u1), g.box_image(v.u2)), dt)
-    pad = _padded_box(g, omega.values)
-    new = _cubic_box(g, pad, px, py)
+    new = _cubic_box(g, g.box_image(omega.values), px, py)
     return EulerState(ScalarField(g, new), state.t + dt)
 
 
@@ -236,15 +221,8 @@ def stability_experiment(solver: PoissonSolver, steady: SteadyState,
 
     omega = zeta.values.copy()
     if delta0 > 0:
-        rng = np.random.default_rng(seed)
-        xlo, ylo, xhi, yhi = g.domain.bounding_box()
-        for _ in range(10000):
-            r = rng.uniform(0.08, 0.2)
-            c = (rng.uniform(xlo, xhi), rng.uniform(ylo, yhi))
-            if g.domain.boundary_distance(*c) >= r:
-                break
-        else:
-            raise ValueError("could not place the perturbation bump")
+        c, r = g.domain.draw_disk(np.random.default_rng(seed), (0.08, 0.2),
+                                  "the perturbation bump")
         phi, _, _ = bump_on_grid(g, c, r)
         pnorm = lp_norm(ScalarField(g, phi), p)
         omega = omega + phi * (delta0 / pnorm)

@@ -23,6 +23,8 @@ import numpy as np
 
 __all__ = ["DomainSpec", "Grid", "build_grid", "plane_grid", "measure"]
 
+DRAW_TRIES = 10000  # rejection draws per random disk before giving up
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -91,6 +93,20 @@ class DomainSpec:
                               np.minimum(y, self.height - y))
         d = _polygon_edge_distance(self.vertices, x, y)
         return np.where(self.contains(x, y), d, -d)[()]
+
+    def draw_disk(self, rng, radius, what: str, accept=None):
+        """First random (center, radius) clearing the boundary that `accept` admits.
+
+        Each try draws r uniformly when `radius` is a (lo, hi) range, then
+        the center uniformly on the bounding box, x before y.
+        """
+        xlo, ylo, xhi, yhi = self.bounding_box()
+        for _ in range(DRAW_TRIES):
+            r = rng.uniform(*radius) if np.ndim(radius) else radius
+            c = (rng.uniform(xlo, xhi), rng.uniform(ylo, yhi))
+            if self.boundary_distance(*c) >= r and (accept is None or accept(c, r)):
+                return c, r
+        raise ValueError(f"could not place {what} inside the domain")
 
     def centroid(self):
         if self.kind == "unit_disk":
@@ -215,10 +231,7 @@ class Grid:
         ix, iy = self.cell_ix[cells], self.cell_iy[cells]
         out = np.empty(cells.shape + (4,), dtype=np.int64)
         for k, (dx, dy) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
-            jx, jy = ix + step * dx, iy + step * dy
-            ok = (jx >= 0) & (jx < self.nx) & (jy >= 0) & (jy < self.ny)
-            out[..., k] = np.where(
-                ok, self.index[jy.clip(0, self.ny - 1), jx.clip(0, self.nx - 1)], -1)
+            out[..., k] = self.box_read(self.index, ix + step * dx, iy + step * dy, -1)
         return out
 
     @property
@@ -231,15 +244,19 @@ class Grid:
         y = np.asarray(y, dtype=float)
         ix = np.floor((x - self.x0) / self.h).astype(np.int64)
         iy = np.floor((y - self.y0) / self.h).astype(np.int64)
-        ok = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
-        out = np.where(ok, self.index[iy.clip(0, self.ny - 1), ix.clip(0, self.nx - 1)], -1)
-        return out
+        return self.box_read(self.index, ix, iy, -1)
 
     def box_image(self, values, fill=0.0):
         """Scatter a flat cell array onto the (ny, nx) bounding box."""
         img = np.full((self.ny, self.nx), fill, dtype=float)
         img[self.cell_iy, self.cell_ix] = values
         return img
+
+    def box_read(self, img, ix, iy, fill=0.0):
+        """img[iy, ix] for box indices inside the (ny, nx) box, `fill` outside."""
+        ok = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
+        # one flat gather: cheaper than 2-d fancy indexing on clipped pairs
+        return np.where(ok, np.take(img, np.where(ok, iy * self.nx + ix, 0)), fill)
 
 
 def build_grid(domain: DomainSpec, n: int) -> Grid:

@@ -219,7 +219,7 @@ class SteadyState:
         return np.nonzero(self.zeta.values < 0)[0]
 
 
-def _seed_field(solver: PoissonSolver, proto: Prototype, init, max_tries=10000):
+def _seed_field(solver: PoissonSolver, proto: Prototype, init):
     g = solver.grid
     spec = proto.spec
     if init == "kr_seed":
@@ -229,24 +229,21 @@ def _seed_field(solver: PoissonSolver, proto: Prototype, init, max_tries=10000):
         return place_prototype(g, proto, robin_scan_center(solver))
     kind = init[0] if isinstance(init, tuple) else init
     if kind == "random":
+        # the negative center is drawn inside the positive one's acceptance
+        # test, so a pair closer than eps1 + eps2 + 4h is redrawn whole
         rng = np.random.default_rng(init[1])
-        xlo, ylo, xhi, yhi = g.domain.bounding_box()
-        need = [spec.eps1] + ([spec.eps2] if proto.n_neg else [])
-        centers = []
-        for eps in need:
-            clear = max(6.0 * g.h, eps + 2.0 * g.h)
-            for _ in range(max_tries):
-                c = np.array([rng.uniform(xlo, xhi), rng.uniform(ylo, yhi)])
-                if g.domain.boundary_distance(*c) < clear:
-                    continue
-                if centers and np.hypot(*(c - centers[0])) < spec.eps1 + spec.eps2 + 4 * g.h:
-                    continue
-                centers.append(c)
-                break
-            else:
-                raise ValueError("could not place random cores inside the domain")
-        return place_prototype(g, proto, centers[0],
-                               centers[1] if proto.n_neg else None)
+        clear1, clear2 = (max(6.0 * g.h, eps + 2.0 * g.h)
+                          for eps in (spec.eps1, spec.eps2))
+        gap = spec.eps1 + spec.eps2 + 4 * g.h
+        partner = [None]
+
+        def partner_fits(c, r):
+            partner[0] = g.domain.draw_disk(rng, clear2, "random cores")[0]
+            return np.hypot(partner[0][0] - c[0], partner[0][1] - c[1]) >= gap
+
+        c, _ = g.domain.draw_disk(rng, clear1, "random cores",
+                                  accept=partner_fits if proto.n_neg else None)
+        return place_prototype(g, proto, c, partner[0])
     if kind == "given":
         f = init[1]
         if f.grid is not g:
@@ -268,6 +265,8 @@ def maximize(solver: PoissonSolver, spec: RearrangementSpec, init="kr_seed",
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1 (got {max_iter})")
+    if residual_tests < 0:
+        raise ValueError(f"residual_tests must be >= 0 (got {residual_tests})")
     proto = make_prototype(spec, solver.grid)
     zeta = _seed_field(solver, proto, init)
     log = []
@@ -299,7 +298,7 @@ def maximize(solver: PoissonSolver, spec: RearrangementSpec, init="kr_seed",
     mu2 = float(psi.values[zeta.values < 0].max()) if proto.n_neg else None
     res = (steadiness_residual(solver, zeta, psi, count=residual_tests,
                                seed=residual_seed)
-           if residual_tests >= 1 else math.nan)
+           if residual_tests else math.nan)
     return SteadyState(
         zeta=zeta, psi=psi, spec=spec, prototype=proto,
         energy=log[-1], energy_log=np.array(log),
@@ -428,23 +427,14 @@ def steadiness_residual(solver: PoissonSolver, zeta: ScalarField,
         return 0.0
     support_xy = g.cells_xy[zeta.values != 0.0]
     rng = np.random.default_rng(seed)
-    xlo, ylo, xhi, yhi = g.domain.bounding_box()
+
+    def overlaps(c, r):
+        return np.hypot(support_xy[:, 0] - c[0], support_xy[:, 1] - c[1]).min() < r
+
     worst = 0.0
     h2 = g.cell_area
-    made = 0
-    tries = 0
-    while made < count:
-        tries += 1
-        if tries > 1000 * count:
-            raise ValueError("could not place test bumps inside the domain")
-        r = rng.uniform(*radius_range)
-        c = (rng.uniform(xlo, xhi), rng.uniform(ylo, yhi))
-        if g.domain.boundary_distance(*c) < r:
-            continue
-        gap = np.hypot(support_xy[:, 0] - c[0], support_xy[:, 1] - c[1]).min()
-        if gap >= r:
-            continue
-        made += 1
+    for _ in range(count):
+        c, r = g.domain.draw_disk(rng, radius_range, "test bumps", accept=overlaps)
         phi, gx, gy = cone_test_function(g, c, r)
         gmax = float(np.hypot(gx, gy).max())
         if gmax == 0.0:

@@ -80,6 +80,33 @@ def test_grid_too_coarse(tmp_path, capsys):
     assert "n >= 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text,key", [
+    ("sweep", "[sweep]\neps = 0.15\nn = 64\nkr_n = 8\n", "[sweep] kr_n"),
+    ("diagnose", "[diagnose]\nn = 8\ninstances = 5\n", "[diagnose] n"),
+], ids=["sweep", "diagnose"])
+def test_secondary_grid_too_coarse_names_key(tmp_path, capsys, command, text, key):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{key}: grid too coarse" in err and "n >= 16" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("steady", STEADY_CFG.replace("residual_tests = 2", "residual_tests = -3"),
+     "[steady] residual_tests"),
+    ("sweep", "[sweep]\neps = 0.15\nn = 64\nkr_n = 48\nresidual_tests = -3\n",
+     "[sweep] residual_tests"),
+], ids=["steady", "sweep"])
+def test_negative_residual_tests_exits_1(tmp_path, capsys, command, text, key):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 1
+    assert f"{key}: must be >= 0" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_krmin_sign_regime(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[grid]\nn = 64\n[vortex]\nkappa1 = -1\nkappa2 = 1\n")
     assert run(["krmin", "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -146,3 +146,40 @@ def test_bilinear_gather_matches_one_call_per_box(seed, nboxes):
     for box, out in zip(boxes, together):
         assert np.array_equal(out, euler._bilinear_box(g, (box,), px, py)[0])
         assert np.array_equal(out, _bilinear_reference(g, box, px, py))
+
+
+def _cubic_padded_reference(grid, values, px, py):
+    """Cubic sampler on a box padded with one zero ring: the old form."""
+    pad = np.zeros((grid.ny + 2, grid.nx + 2))
+    pad[1:-1, 1:-1] = grid.box_image(values)
+    i0, j0, tx, ty = euler._cell_coords(grid, px, py)
+    wx, wy = euler._cubic_weights(tx), euler._cubic_weights(ty)
+    out = np.zeros(px.shape)
+    lo = np.full(px.shape, np.inf)
+    hi = np.full(px.shape, -np.inf)
+    for a, di in enumerate((-1, 0, 1, 2)):
+        ii = (i0 + di + 1).clip(0, grid.nx + 1)
+        inside_x = (i0 + di >= -1) & (i0 + di <= grid.nx)
+        for b, dj in enumerate((-1, 0, 1, 2)):
+            jj = (j0 + dj + 1).clip(0, grid.ny + 1)
+            inside = inside_x & (j0 + dj >= -1) & (j0 + dj <= grid.ny)
+            vals = np.where(inside, pad[jj, ii], 0.0)
+            out += wx[a] * wy[b] * vals
+            if di in (0, 1) and dj in (0, 1):
+                lo = np.minimum(lo, vals)
+                hi = np.maximum(hi, vals)
+    return np.clip(out, lo, hi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cubic_sampler_matches_padded_reference(seed):
+    g = _G48
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=g.ncells)
+    # points inside, near and up to three cells beyond the box edge
+    px = rng.uniform(g.x0 - 3 * g.h, g.x0 + (g.nx + 3) * g.h, 300)
+    py = rng.uniform(g.y0 - 3 * g.h, g.y0 + (g.ny + 3) * g.h, 300)
+    px[:20], py[:20] = g.cells_xy[:20, 0], g.cells_xy[:20, 1]
+    got = euler._cubic_box(g, g.box_image(values), px, py)
+    assert np.array_equal(got, _cubic_padded_reference(g, values, px, py))

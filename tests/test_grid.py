@@ -60,7 +60,8 @@ def test_locate_roundtrip():
 
 def test_locate_outside_returns_sentinel():
     g = vp.build_grid(vp.DomainSpec.unit_disk(), 24)
-    ids = g.locate(np.array([2.0, 0.0]), np.array([0.0, -3.0]))
+    # outside the box, and inside the box but off the mask
+    ids = g.locate(np.array([2.0, 0.0, -0.98]), np.array([0.0, -3.0, -0.98]))
     assert np.all(ids == -1)
 
 
@@ -202,3 +203,72 @@ def test_array_geometry_matches_per_point_reference(which, free, edge_count):
         assert dom.boundary_distance(px, py) == dist[i]
     # a 2-d query keeps its shape and agrees with the flat one
     assert np.array_equal(dom.contains(x[:, None], y[:, None])[:, 0], inside)
+
+
+# -- masked box read and random-disk draw -----------------------------------
+
+_BOX_GRIDS = [vp.build_grid(dom, 16) for dom in _DOMAINS[:3]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(_BOX_GRIDS))), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, -1.0, 2.5]))
+def test_box_read_matches_fill_padded_copy(which, seed, fill):
+    g = _BOX_GRIDS[which]
+    rng = np.random.default_rng(seed)
+    img = rng.normal(size=(g.ny, g.nx))
+    pad = np.full((g.ny + 6, g.nx + 6), fill)
+    pad[3:-3, 3:-3] = img
+    # indices up to 3 cells outside the box on every side
+    ix = rng.integers(-3, g.nx + 3, size=(7, 5))
+    iy = rng.integers(-3, g.ny + 3, size=(7, 5))
+    ix[0, :4] = (-3, -1, g.nx - 1, g.nx + 2)
+    iy[0, :4] = (g.ny + 2, 0, -1, g.ny - 1)
+    out = g.box_read(img, ix, iy, fill)
+    assert out.shape == ix.shape
+    assert np.array_equal(out, pad[iy + 3, ix + 3])
+
+
+def _old_draw(dom, rng, radius, admit, tries):
+    """The inline rejection loop the samplers used before draw_disk."""
+    xlo, ylo, xhi, yhi = dom.bounding_box()
+    for _ in range(tries):
+        r = rng.uniform(*radius) if isinstance(radius, tuple) else radius
+        c = (rng.uniform(xlo, xhi), rng.uniform(ylo, yhi))
+        if dom.boundary_distance(*c) < r:
+            continue
+        if admit is not None and not admit(c, r):
+            continue
+        return c, r
+    return None
+
+
+@pytest.mark.parametrize("which", range(3))
+@pytest.mark.parametrize("radius", [0.2, (0.08, 0.2), (0.1, 0.3)])
+@pytest.mark.parametrize("with_accept", [False, True])
+def test_draw_disk_reproduces_inline_loops(which, radius, with_accept):
+    dom = _DOMAINS[which]
+    cx, cy = dom.centroid()
+    near = None
+    if with_accept:
+        def near(c, r):
+            return math.hypot(c[0] - cx, c[1] - cy) < r + 0.25
+    old_rng, new_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(8):
+        expect = _old_draw(dom, old_rng, radius, near, vp.grid.DRAW_TRIES)
+        got = dom.draw_disk(new_rng, radius, "test disks", accept=near)
+        assert got == expect
+        c, r = got
+        assert dom.boundary_distance(*c) >= r
+    # both streams stand at the same place afterwards
+    assert old_rng.uniform() == new_rng.uniform()
+
+
+def test_draw_disk_raises_with_what():
+    strip = vp.DomainSpec.rectangle(2.0, 0.5)
+    with pytest.raises(ValueError,
+                       match="could not place wide disks inside the domain"):
+        strip.draw_disk(np.random.default_rng(0), 0.3, "wide disks")
+    with pytest.raises(ValueError, match="could not place picky disks"):
+        strip.draw_disk(np.random.default_rng(0), (0.05, 0.1), "picky disks",
+                        accept=lambda c, r: False)

@@ -166,6 +166,45 @@ def test_maximize_random_init_converges(disk96):
     assert st.monotone_violations == 0
 
 
+_TIGHT_RECT = vp.PoissonSolver(vp.build_grid(vp.DomainSpec.rectangle(1.4, 1.0), 40))
+
+
+@pytest.mark.parametrize("seed", [121, 124])
+def test_random_init_redraws_both_cores(seed, monkeypatch):
+    # on this rectangle the admissible centers form [0.3, 1.1] x [0.3, 0.7];
+    # a first center near the middle leaves no room for the second core,
+    # so a rejected pair must be redrawn whole
+    g = _TIGHT_RECT.grid
+    spec = vp.RearrangementSpec(eps1=0.25, eps2=0.25, kappa1=1.0,
+                                kappa2=-1.5)
+    draws = []
+    draw = vp.DomainSpec.draw_disk
+
+    def spy(dom, rng, radius, what, accept=None):
+        c, r = draw(dom, rng, radius, what, accept)
+        draws.append((c, r))
+        return c, r
+
+    monkeypatch.setattr(vp.DomainSpec, "draw_disk", spy)
+    st = vp.maximize(_TIGHT_RECT, spec, init=("random", seed),
+                     residual_tests=0)
+    assert st.converged and st.monotone_violations == 0
+    # the positive draw returns last: its acceptance test drew the partner
+    (neg, r2), (pos, r1) = draws[-2:]
+    clear = 0.25 + 2.0 * g.h
+    assert r1 == r2 == clear
+    assert g.domain.boundary_distance(*pos) >= clear
+    assert g.domain.boundary_distance(*neg) >= clear
+    assert math.hypot(pos[0] - neg[0], pos[1] - neg[1]) >= 0.5 + 4 * g.h
+
+
+def test_maximize_rejects_negative_residual_tests(disk64):
+    spec = vp.RearrangementSpec(eps1=0.15, eps2=0.15, kappa1=1.0,
+                                kappa2=-1.0)
+    with pytest.raises(ValueError, match="residual_tests must be >= 0"):
+        vp.maximize(disk64, spec, residual_tests=-3)
+
+
 def test_maximize_rejects_max_iter_below_one(disk64):
     spec = vp.RearrangementSpec(eps1=0.15, eps2=0.15, kappa1=1.0,
                                 kappa2=-1.0)

@@ -23,7 +23,8 @@ import tempfile
 import textwrap
 from pathlib import Path
 
-# name -> (command, extra CLI arguments, config text)
+# name -> (command, extra CLI arguments, config text); the extra arguments
+# follow `--seed 0`, so a `--seed` among them picks the run's seed
 RUNS = {
     "steady_kr": ("steady", [], """
         [grid]
@@ -50,6 +51,20 @@ RUNS = {
         profile = parabolic
         [steady]
         eps1 = 0.15
+        residual_tests = 2
+    """),
+    "steady_random": ("steady", ["--seed", "121"], """
+        [domain]
+        kind = rectangle
+        width = 1.4
+        height = 1
+        [grid]
+        n = 40
+        [vortex]
+        kappa2 = -1.5
+        [steady]
+        eps1 = 0.25
+        init = random
         residual_tests = 2
     """),
     "krmin": ("krmin", [], """
