@@ -63,6 +63,11 @@ class SweepPlan:
         if len(n) != len(self.eps):
             raise ValueError("need one grid resolution per eps")
         self.n = tuple(int(v) for v in n)
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1 (got {self.max_iter})")
+        if self.residual_tests < 0:
+            raise ValueError(
+                f"residual_tests must be >= 0 (got {self.residual_tests})")
 
 
 @dataclass

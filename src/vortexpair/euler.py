@@ -16,7 +16,10 @@ The stability probe evolves a perturbed steady state and reports the
 relative Lp distance to the unperturbed one; on the disk the distance
 is additionally minimized over a sampled set of rotations, since the
 steady pair is only defined up to the domain's symmetry and a slow
-orbit precession would otherwise read as instability.
+orbit precession would otherwise read as instability.  The rotations
+of zeta are computed only on the annulus of cells within 2h of the
+radii of its support, the only cells where a rotated zeta can be
+nonzero.
 """
 
 from __future__ import annotations
@@ -139,15 +142,15 @@ class StabilityResult:
     note: str = ""
 
 
-def _rotation_samples(grid, zeta_vals, angles: int):
-    """zeta composed with rotations by 2*pi*k/angles, sampled bilinearly."""
-    box = grid.box_image(zeta_vals)
-    xy = grid.cells_xy
-    out = np.empty((angles, grid.ncells))
-    for k in range(angles):
-        th = 2.0 * math.pi * k / angles
-        out[k] = _rotate_once(grid, box, xy, th)
-    return out
+def _support_annulus(grid, zeta_vals):
+    """Cells where a bilinear rotation of zeta about the origin can be nonzero.
+
+    Rotations keep radius and a bilinear read uses nodes within sqrt(2) h
+    of its point, so the radii of supp zeta widened by 2h cover them.
+    """
+    r = np.hypot(grid.cells_xy[:, 0], grid.cells_xy[:, 1])
+    rs = r[zeta_vals != 0]
+    return (r >= rs.min() - 2.0 * grid.h) & (r <= rs.max() + 2.0 * grid.h)
 
 
 def _rotate_once(grid, box, xy, th):
@@ -157,40 +160,53 @@ def _rotate_once(grid, box, xy, th):
     return _bilinear_box(grid, (box,), px, py)[0]
 
 
-def _orbit_distance(grid, box, xy, vals, coarse, p, h2p, znorm):
-    """Distance to the rotation orbit: coarse scan, then golden refine.
+def _orbit_metric(grid, zeta_vals, angles, p, h2p, znorm):
+    """dist(vals): the relative Lp distance to the rotation orbit of zeta.
 
-    The coarse bin width (10 degrees at the default 36) costs a large
-    fraction of a core diameter at the pair radius, so a slow precession
-    would read as instability without the refinement.
+    A coarse scan over rotations by 2*pi*k/angles, tabulated once on the
+    support annulus (off it every rotation is zero, so that part of each
+    sum is |vals|^p, summed once per call), then a golden refine around
+    the best angle.  The coarse bin width (10 degrees at the default 36)
+    costs a large fraction of a core diameter at the pair radius, so a
+    slow precession would read as instability without the refinement.
     """
-    sums = np.sum(np.abs(vals[None, :] - coarse) ** p, axis=1)
-    k = int(np.argmin(sums))
-    width = 2.0 * math.pi / coarse.shape[0]
-
-    def f(th):
-        rot = _rotate_once(grid, box, xy, th)
-        return float(np.sum(np.abs(vals - rot) ** p))
-
-    lo = k * width - width
-    hi = k * width + width
+    ring = _support_annulus(grid, zeta_vals)
+    xy = grid.cells_xy[ring]
+    box = grid.box_image(zeta_vals)
+    coarse = np.empty((angles, xy.shape[0]))
+    for k in range(angles):
+        coarse[k] = _rotate_once(grid, box, xy, 2.0 * math.pi * k / angles)
+    width = 2.0 * math.pi / angles
     gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best = min(float(sums[k]), f1, f2)
-    for _ in range(24):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = f(x2)
-        best = min(best, f1, f2)
-    return (best * h2p) ** (1.0 / p) / znorm
+
+    def dist(vals):
+        inner = vals[ring]
+        outside = float(np.sum(np.abs(vals[~ring]) ** p))
+        sums = outside + np.sum(np.abs(inner[None, :] - coarse) ** p, axis=1)
+        k = int(np.argmin(sums))
+
+        def f(th):
+            rot = _rotate_once(grid, box, xy, th)
+            return outside + float(np.sum(np.abs(inner - rot) ** p))
+
+        a, b = k * width - width, k * width + width
+        x1 = b - gr * (b - a)
+        x2 = a + gr * (b - a)
+        f1, f2 = f(x1), f(x2)
+        best = min(float(sums[k]), f1, f2)
+        for _ in range(24):
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - gr * (b - a)
+                f1 = f(x1)
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + gr * (b - a)
+                f2 = f(x2)
+            best = min(best, f1, f2)
+        return (best * h2p) ** (1.0 / p) / znorm
+
+    return dist
 
 
 def stability_experiment(solver: PoissonSolver, steady: SteadyState,
@@ -209,6 +225,8 @@ def stability_experiment(solver: PoissonSolver, steady: SteadyState,
     g = solver.grid
     zeta = steady.zeta
     p = steady.spec.p
+    if not np.any(zeta.values):
+        raise ValueError("steady vorticity is zero")
     znorm = lp_norm(zeta, p)
     if delta0 < 0 or delta0 > 0.1 * znorm:
         raise ValueError("perturbation must satisfy 0 <= delta0 <= 0.1 ||zeta||_p")
@@ -229,18 +247,14 @@ def stability_experiment(solver: PoissonSolver, steady: SteadyState,
     state = EulerState(ScalarField(g, omega))
 
     nang = angles if g.domain.kind == "unit_disk" and angles > 1 else 1
-    rots = _rotation_samples(g, zeta.values, nang)
     h2p = g.cell_area
-    zbox = g.box_image(zeta.values)
-    xy = g.cells_xy
 
     if nang == 1:
         def dist(vals):
             s = float(np.sum(np.abs(vals - zeta.values) ** p))
             return (s * h2p) ** (1.0 / p) / znorm
     else:
-        def dist(vals):
-            return _orbit_distance(g, zbox, xy, vals, rots, p, h2p, znorm)
+        dist = _orbit_metric(g, zeta.values, nang, p, h2p, znorm)
 
     peak = float(np.abs(zeta.values).max())
     turnover = 4.0 * math.pi / peak

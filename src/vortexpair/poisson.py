@@ -47,9 +47,11 @@ class PoissonSolver:
     """Factorized inverse of the masked 5-point Dirichlet Laplacian.
 
     Each solve refines until the residual is REFINE_TOL relative to the
-    right-hand side (at most three passes) and raises SolveError above
-    1e-10 or for a NaN residual; a non-finite right-hand side is a
-    ValueError.
+    right-hand side, for at most three passes, and stops early at the
+    first pass that fails to halve the residual (then the rounding floor
+    is reached); it returns the iterate with the smaller residual.  It
+    raises SolveError above 1e-10 or for a NaN residual; a non-finite
+    right-hand side is a ValueError.
     """
 
     def __init__(self, grid: Grid):
@@ -97,14 +99,22 @@ class PoissonSolver:
         with self._lock:
             lu = self._factor()
             x = lu.solve(rhs)
-            # refinement: each pass multiplies the residual by ~eps*kappa
+            r = rhs - self.matrix @ x
+            res = np.abs(r).max()
+            # refinement: a pass that fails to halve the residual has hit
+            # the rounding floor, so stop there and keep the better iterate
             for _ in range(3):
-                r = rhs - self.matrix @ x
-                if np.abs(r).max() <= REFINE_TOL * scale:
+                if res <= REFINE_TOL * scale:
                     break
-                x = x + lu.solve(r)
+                x1 = x + lu.solve(r)
+                r1 = rhs - self.matrix @ x1
+                res1 = np.abs(r1).max()
+                halved = res1 <= 0.5 * res
+                if res1 < res:
+                    x, r, res = x1, r1, res1
+                if not halved:
+                    break
             self.solve_count += 1
-        res = np.abs(rhs - self.matrix @ x).max()
         if not res <= 1e-10 * scale:  # NaN fails too
             raise SolveError(
                 f"poisson solve stalled: residual {res:.3e} vs rhs scale {scale:.3e}"

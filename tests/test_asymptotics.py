@@ -179,6 +179,19 @@ def test_sweep_plan_validation(dom):
     assert plan.n == (64, 64)
 
 
+@pytest.mark.parametrize("kw, word", [(dict(residual_tests=-1), "residual_tests"),
+                                      (dict(max_iter=0), "max_iter")])
+def test_sweep_plan_rejects_bad_ascent_settings_before_solving(
+        dom, monkeypatch, kw, word):
+    solves = []
+    real = vp.PoissonSolver.solve
+    monkeypatch.setattr(vp.PoissonSolver, "solve",
+                        lambda self, rhs: solves.append(1) or real(self, rhs))
+    with pytest.raises(ValueError, match=word):
+        vp.run_sweep(vp.SweepPlan(domain=dom, eps=(0.2,), n=48, kr_n=48, **kw))
+    assert len(solves) == 0
+
+
 # -- identities on real states ----------------------------------------------
 
 def test_energy_split_identity(pair_state_96, disk96):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -114,6 +115,86 @@ def test_stability_abort_on_forced_cfl(pair_state_96, disk96):
 def test_stability_rejects_bad_horizon(pair_state_96, disk96, kw, word):
     with pytest.raises(ValueError, match=word):
         vp.stability_experiment(disk96, pair_state_96, delta0=0.0, **kw)
+
+
+def test_stability_rejects_zero_steady_state(pair_state_96, disk96):
+    g = disk96.grid
+    zero = dataclasses.replace(
+        pair_state_96, zeta=vp.ScalarField(g, np.zeros(g.ncells)))
+    before = disk96.solve_count
+    with pytest.raises(ValueError, match="steady vorticity is zero"):
+        vp.stability_experiment(disk96, zero, delta0=0.0, turnovers=0.1)
+    assert disk96.solve_count == before
+
+
+_D48 = vp.build_grid(vp.DomainSpec.unit_disk(), 48)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-7.0, 7.0),
+       st.floats(0.0, 0.9), st.floats(0.02, 0.6))
+def test_rotations_vanish_off_the_support_annulus(seed, th, r0, width):
+    g = _D48
+    rng = np.random.default_rng(seed)
+    r = np.hypot(g.cells_xy[:, 0], g.cells_xy[:, 1])
+    # random values on a random annulus, with random holes in it
+    on = (r >= r0) & (r <= r0 + width) & (rng.random(g.ncells) < 0.7)
+    on[np.argmin(np.abs(r - r0))] = True
+    vals = np.where(on, rng.normal(size=g.ncells), 0.0)
+    ring = euler._support_annulus(g, vals)
+    assert ring[vals != 0].all()
+    rot = euler._rotate_once(g, g.box_image(vals), g.cells_xy, th)
+    assert np.all(rot[~ring] == 0.0)
+
+
+def _orbit_distance_reference(grid, zeta_vals, angles, vals, p, znorm):
+    """Coarse rotations on the whole grid, then the golden refine."""
+    box = grid.box_image(zeta_vals)
+    xy = grid.cells_xy
+    coarse = np.array([euler._rotate_once(grid, box, xy, 2.0 * math.pi * k / angles)
+                       for k in range(angles)])
+    sums = np.sum(np.abs(vals[None, :] - coarse) ** p, axis=1)
+    k = int(np.argmin(sums))
+    width = 2.0 * math.pi / angles
+
+    def f(th):
+        rot = euler._rotate_once(grid, box, xy, th)
+        return float(np.sum(np.abs(vals - rot) ** p))
+
+    a, b = k * width - width, k * width + width
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - gr * (b - a)
+    x2 = a + gr * (b - a)
+    f1, f2 = f(x1), f(x2)
+    best = min(float(sums[k]), f1, f2)
+    for _ in range(24):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - gr * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + gr * (b - a)
+            f2 = f(x2)
+        best = min(best, f1, f2)
+    return (best * grid.cell_area) ** (1.0 / p) / znorm
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+@pytest.mark.parametrize("th, noise", [(0.0, 0.0), (0.3, 0.0), (-1.1, 0.05),
+                                       (2.9, 0.2)])
+def test_annulus_orbit_distance_matches_full_grid(pair_state_96, th, noise, p):
+    g = pair_state_96.zeta.grid
+    zeta = pair_state_96.zeta.values
+    znorm = vp.lp_norm(pair_state_96.zeta, p)
+    rng = np.random.default_rng(7)
+    # a rotated copy of zeta plus noise spread over the whole disk, so
+    # the part off the annulus is not zero
+    vals = euler._rotate_once(g, g.box_image(zeta), g.cells_xy, th)
+    vals = vals + noise * np.abs(zeta).max() * rng.normal(size=g.ncells)
+    got = euler._orbit_metric(g, zeta, 36, p, g.cell_area, znorm)(vals)
+    ref = _orbit_distance_reference(g, zeta, 36, vals, p, znorm)
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
 def _bilinear_reference(grid, box, px, py):

@@ -242,3 +242,62 @@ def test_solve_nan_residual_raises():
     solver._lu = NanLU()
     with pytest.raises(vp.SolveError):
         solver.solve(np.ones(solver.grid.ncells))
+
+
+class _CountingLU:
+    """Wraps a factor, keeps every correction it returns; `scale` corrupts it."""
+
+    def __init__(self, lu, scale=1.0):
+        self.lu, self.scale, self.outs = lu, scale, []
+
+    def solve(self, b):
+        y = self.scale * self.lu.solve(b)
+        self.outs.append(y)
+        return y
+
+
+def _counting_solver(n, scale=1.0):
+    solver = vp.PoissonSolver(vp.build_grid(vp.DomainSpec.unit_disk(), n))
+    lu = _CountingLU(solver._factor(), scale)
+    solver._lu = lu
+    return solver, lu
+
+
+def test_refinement_stops_at_first_pass_that_fails_to_halve():
+    solver, lu = _counting_solver(48)
+    g = solver.grid
+    xy = g.cells_xy
+    # a wide patch pair: its first correction helps, the second does not
+    rhs = (np.where(np.hypot(xy[:, 0] - 0.6, xy[:, 1]) < 0.3, 1.0, 0.0)
+           - np.where(np.hypot(xy[:, 0] + 0.6, xy[:, 1]) < 0.3, 1.0, 0.0)
+           ) / (np.pi * 0.3 ** 2)
+    x = solver.solve(rhs)
+    scale = np.abs(rhs).max()
+    # replay the refinement from the corrections the factor returned
+    iterates = [lu.outs[0]]
+    for y in lu.outs[1:]:
+        iterates.append(iterates[-1] + y)
+    res = [np.abs(rhs - solver.matrix @ it).max() for it in iterates]
+    assert 2 <= len(lu.outs) < 4  # at least one pass, fewer than three
+    for k in range(1, len(res) - 1):
+        assert res[k - 1] > vp.poisson.REFINE_TOL * scale
+        assert res[k] <= 0.5 * res[k - 1]
+    assert res[-2] > vp.poisson.REFINE_TOL * scale
+    assert not res[-1] <= 0.5 * res[-2]
+    kept = iterates[-1] if res[-1] < res[-2] else iterates[-2]
+    assert np.array_equal(x, kept)
+
+
+def test_unit_charge_makes_one_lu_solve():
+    solver, lu = _counting_solver(48)
+    vp.green_function(solver, solver.grid.ncells // 2)
+    assert len(lu.outs) == 1
+
+
+def test_corrupted_solve_raises_after_one_pass():
+    # each correction is 0.4 of the true one, so a pass leaves 0.6 of the
+    # residual: refinement stops after the first pass and the bound fails
+    solver, lu = _counting_solver(32, scale=0.4)
+    with pytest.raises(vp.SolveError, match="stalled"):
+        solver.solve(np.ones(solver.grid.ncells))
+    assert len(lu.outs) == 2

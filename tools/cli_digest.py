@@ -156,6 +156,21 @@ RUNS = {
         turnovers = 0.5
         records = 10
     """),
+    "evolve_pde_rect": ("evolve", [], """
+        [domain]
+        kind = rectangle
+        width = 1.4
+        height = 1
+        [grid]
+        n = 64
+        [steady]
+        eps1 = 0.2
+        [evolve]
+        mode = pde
+        delta0_rel = 0.02
+        turnovers = 0.3
+        records = 10
+    """),
     "diagnose": ("diagnose", [], """
         [diagnose]
         n = 48
