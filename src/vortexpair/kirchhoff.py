@@ -189,14 +189,13 @@ def _compass_values(solver: PoissonSolver, cells: np.ndarray, kappas) -> np.ndar
     """W with each vortex moved 2 cells left, right, down and up, shape (k, 4).
 
     One `rows` call (cells, then probes) and one `values` call on a (k, k, 4)
-    row stack.  A coordinate with a probe whose Robin stencil leaves the mask
-    solves neither of its probes, and both read NaN.
+    row stack.  A coordinate with a probe off the mask solves neither of its
+    probes, and both read NaN.
     """
     g = solver.grid
     k = cells.size
     probes = g.compass(cells, 2)
     ok = probes >= 0
-    ok[ok] = (g.compass(probes[ok], 2) >= 0).all(axis=-1)
     ok &= ok[:, [1, 0, 3, 2]]
     store = _store(solver)
     rows = store.rows(solver, np.concatenate([cells, probes[ok]]))
@@ -243,8 +242,8 @@ def _lattice(g):
 
 def _scan_lattice(solver: PoissonSolver, margin_h: float) -> np.ndarray:
     """Lattice sites with clearance >= margin_h cells, in row-major (y, x) order."""
-    # boundary distance is 1-Lipschitz, so above 2h every site's 2-cell
-    # Robin stencil stays inside the mask
+    # boundary distance is 1-Lipschitz, so above 2h a site's 2-cell probes
+    # are mask cells (descent iterates, snapped up to h/sqrt(2) nearer, may not)
     if not margin_h > 2:
         raise ValueError(f"margin_h must be > 2 cells (got {margin_h!r})")
     ids, clear = _lattice(solver.grid)
@@ -350,7 +349,7 @@ def _parabolic_refine(solver, p0, cells0, kappas, w0):
     lo, hi = w[:, 0::2], w[:, 1::2]
     refined = p0.astype(float).copy()
     for (i, c), curv in np.ndenumerate(hi - 2.0 * w0 + lo):
-        if curv > 0:  # false for NaN too: a probe the mask cannot solve
+        if curv > 0:  # false for NaN too: a probe off the mask
             delta = 0.5 * (lo[i, c] - hi[i, c]) / curv * (2.0 * h)
             refined[i, c] += float(np.clip(delta, -h, h))
     return refined

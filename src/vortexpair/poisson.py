@@ -10,9 +10,9 @@ symmetry) leans on that accuracy.
 
 Conventions: G(x, y) solves -Laplace G = delta_y with G = 0 on the
 boundary; the regular part is h(x, y) = -(1/2pi) ln|x-y| - G(x, y) and
-the Robin function is its diagonal H(x) = h(x, x), estimated by
-averaging h(x, x + delta e) over the four compass directions with
-delta = 2h.
+the Robin function is its diagonal H(x) = h(x, x), read from the
+diagonal G_h(x, x) of the unit-charge solve at x plus the lattice
+constant of the 5-point stencil (see `robin_solve`).
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 LOG_COEFF = 1.0 / (2.0 * math.pi)
+# the square lattice's potential kernel is a(x) = (2/pi) ln|x| + (2 gamma
+# + ln 8)/pi + O(|x|^-2) (Fukai & Uchiyama, Ann. Probab. 24, 1996; Lawler &
+# Limic, Random Walk: A Modern Introduction, sec. 4.4), G_h(x, x) - G_h(x, y)
+# = a((y - x)/h)/4 + O(|y - x|), so H = -G_h(x, x) - (1/2pi) ln h + this
+LATTICE_ROBIN = (2.0 * np.euler_gamma + math.log(8.0)) / (4.0 * math.pi)
 # relative infinity-norm residual at which refinement stops.  The hard
 # bound is 1e-10; this target sits two orders lower so quadratic forms
 # built from solves stay monotone to 1e-12 relative.
@@ -168,28 +173,20 @@ def regular_part(solver: PoissonSolver, x, y) -> float:
 def robin_solve(solver: PoissonSolver, cid: int):
     """One unit-charge solve at cell `cid` and the Robin value read from it.
 
-    H is the mean of h(x, x + delta e) over the four compass cells at
-    delta = 2h, summed in compass order and then divided by 4; with the
-    charge at x, G(x, x + delta e) is read at those cells through the
-    symmetry of the discrete operator.  Returns (H, G(., x) values) and
-    raises before solving when the stencil leaves the mask.
+    H is read at the charge's own cell, H(x) = -G_h(x, x) - (1/2pi) ln h
+    + LATTICE_ROBIN, so any mask cell can be solved.  Returns
+    (H, G(., x) values).
     """
-    g = solver.grid
-    ids = g.compass(cid, 2)
-    if (ids < 0).any():
-        raise ValueError("robin near boundary unreliable")
     gf = green_function(solver, cid).values
-    acc = 0.0
-    for v in gf[ids]:
-        acc += -LOG_COEFF * math.log(2.0 * g.h) - v
-    return acc / 4.0, gf
+    return -gf[cid] - LOG_COEFF * math.log(solver.grid.h) + LATTICE_ROBIN, gf
 
 
 def robin(solver: PoissonSolver, x) -> float:
-    """Robin function H(x) by 4-direction averaging at offset 2h.
+    """Robin function H(x) from the diagonal of one solve (see `robin_solve`).
 
-    One solve (see `robin_solve`).  The first-order terms of
-    h(x, x + delta e) cancel in the average, leaving H(x) + O(h^2).
+    The error is O(h), from the staircase boundary.  Within 4h of the
+    boundary the lattice expansion's O((h/d)^2) remainder at clearance d
+    is no longer small, so such points raise.
     """
     g = solver.grid
     cid = _source_cell(solver, x)

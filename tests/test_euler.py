@@ -127,6 +127,20 @@ def test_stability_rejects_zero_steady_state(pair_state_96, disk96):
     assert disk96.solve_count == before
 
 
+def test_stability_probe_solves_once_per_step(disk64, monkeypatch):
+    # the solve that picks dt is the first step's solve
+    spec = vp.RearrangementSpec(eps1=0.15, eps2=0.15, kappa1=1.0, kappa2=-1.0)
+    steady = vp.maximize(disk64, spec, residual_tests=0)
+    rhs = []
+    solve = disk64.solve
+    monkeypatch.setattr(disk64, "solve", lambda f: (rhs.append(f.copy()), solve(f))[1])
+    r = vp.stability_experiment(disk64, steady, delta0=0.0, turnovers=0.2,
+                                records=50)
+    assert len(r.times) - 1 == 7
+    assert len(rhs) == 7
+    assert all((a != b).any() for a, b in zip(rhs, rhs[1:]))
+
+
 _D48 = vp.build_grid(vp.DomainSpec.unit_disk(), 48)
 
 

@@ -72,20 +72,18 @@ def test_best_response_brute_force():
     proto = vp.Prototype(spec=spec, h=g.h,
                          pos=np.array([30.0, 20.0]),
                          neg=np.array([25.0, 10.0]))
+    # every ordered pair of cells, scored once per sign; a placement is a
+    # (positive pair, negative pair) entry of the table with no shared cell
+    pairs = np.array(list(itertools.permutations(range(n), 2)))
+    disjoint = (pairs[:, None, :, None] != pairs[None, :, None, :]).all(axis=(2, 3))
     rng = np.random.default_rng(0)
     for trial in range(5):
         psi = vp.ScalarField(g, rng.normal(size=n))
         got = vp.best_response(proto, psi)
         gain = float(np.sum(got.values * psi.values))
-        best = -np.inf
-        for ip in itertools.permutations(range(n), 2):
-            for im in itertools.permutations(range(n), 2):
-                if set(ip) & set(im):
-                    continue
-                v = np.zeros(n)
-                v[list(ip)] = proto.pos
-                v[list(im)] = -proto.neg
-                best = max(best, float(np.sum(v * psi.values)))
+        pos = psi.values[pairs] @ proto.pos
+        neg = -(psi.values[pairs] @ proto.neg)
+        best = (pos[:, None] + neg[None, :])[disjoint].max()
         assert gain == pytest.approx(best, rel=1e-12)
 
 

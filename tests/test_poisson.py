@@ -149,6 +149,21 @@ def test_robin_disk_formula(disk96):
         assert got == pytest.approx(exact, abs=0.01)
 
 
+def test_robin_disk_closed_form_converges(disk64):
+    # the disk's H(x) = -(1/2pi) ln(1 - |x|^2): the error is O(h), from the
+    # staircase boundary, with no lattice bias left over as h -> 0
+    disk128 = vp.PoissonSolver(vp.build_grid(vp.DomainSpec.unit_disk(), 128))
+
+    def err(solver, r, th):
+        x = (r * np.cos(th), r * np.sin(th))
+        return vp.robin(solver, x) + np.log(1.0 - r * r) / (2.0 * np.pi)
+
+    assert abs(err(disk128, 0.0, 0.0)) <= 0.6 * abs(err(disk64, 0.0, 0.0))
+    worst = max(abs(err(disk128, r, th))
+                for r in (0.0, 0.4, 0.8) for th in (0.0, 0.3, 0.785))
+    assert worst <= 4e-3
+
+
 def test_robin_radial_monotone(disk96):
     h0 = vp.robin(disk96, (0.0, 0.0))
     h1 = vp.robin(disk96, (0.45, 0.0))
