@@ -115,7 +115,9 @@ def load_config(path: str) -> _Cfg:
     if cp.has_option("solver", "tol"):
         # an old config must not silently change meaning
         raise ConfigError("[solver] tol: no longer a setting; every solve "
-                          f"refines to {REFINE_TOL!r} and fails above 1e-10")
+                          f"refines to a normwise backward error of {REFINE_TOL!r} "
+                          "and fails above a residual of 1e-10 relative to "
+                          "the right-hand side")
     return _Cfg(cp, path, raw)
 
 

@@ -51,14 +51,46 @@ def _cell_coords(grid, px, py):
     return i0, j0, gx - i0, gy - j0
 
 
-def _bilinear_box(grid, boxes, px, py):
-    """Bilinear samples of every box in `boxes` at the points (0 outside)."""
+# width of a sampling image's zero ring.  A base index clipped into
+# [1 - _PAD, n + _PAD - 3] keeps the four cubic nodes (-1..2) inside the
+# image, and a base that was clipped reads only the ring; 4 is the
+# narrowest width for which both hold.
+_PAD = 4
+
+
+def _sampling_image(grid, values):
+    """Flat box image of `values` inside a zero ring _PAD cells wide."""
+    img = np.zeros((grid.ny + 2 * _PAD, grid.nx + 2 * _PAD))
+    img[grid.cell_iy + _PAD, grid.cell_ix + _PAD] = values
+    return img.ravel()
+
+
+def _stencil_base(grid, px, py):
+    """Flat sampling-image index of each point's lower-left node, offsets in [0, 1).
+
+    A point whose stencil lies wholly off the box has its base clipped
+    to one that reads only the fill ring, so every node of every
+    stencil is one gather at base + a constant offset.
+    """
     i0, j0, tx, ty = _cell_coords(grid, px, py)
-    outs = [np.zeros(px.shape) for _ in boxes]
+    np.clip(i0, 1 - _PAD, grid.nx + _PAD - 3, out=i0)
+    np.clip(j0, 1 - _PAD, grid.ny + _PAD - 3, out=j0)
+    return (j0 + _PAD) * (grid.nx + 2 * _PAD) + i0 + _PAD, tx, ty
+
+
+def _offset(grid, di, dj):
+    return dj * (grid.nx + 2 * _PAD) + di
+
+
+def _bilinear_box(grid, images, px, py):
+    """Bilinear samples of every sampling image in `images` at the points (0 outside)."""
+    base, tx, ty = _stencil_base(grid, px, py)
+    outs = [np.zeros(px.shape) for _ in images]
     for di, dj, w in ((0, 0, (1 - tx) * (1 - ty)), (1, 0, tx * (1 - ty)),
                       (0, 1, (1 - tx) * ty), (1, 1, tx * ty)):
-        for out, box in zip(outs, boxes):
-            out += w * grid.box_read(box, i0 + di, j0 + dj)
+        idx = base + _offset(grid, di, dj)
+        for out, img in zip(outs, images):
+            out += w * np.take(img, idx)
     return outs
 
 
@@ -73,15 +105,15 @@ def _cubic_weights(t):
             t * (t * t - 1.0) / 6.0)
 
 
-def _cubic_box(grid, box, px, py):
-    """Cubic sampling of a box image (0 outside), clamped to the bilinear bounds.
+def _cubic_box(grid, img, px, py):
+    """Cubic sampling of a sampling image (0 outside), clamped to the bilinear bounds.
 
     The clamp keeps each value inside the min/max of the four nearest
     nodes, so the scheme cannot manufacture new extrema; without it the
     cubic overshoots at the patch edge and the blow-up guard becomes
     meaningless.
     """
-    i0, j0, tx, ty = _cell_coords(grid, px, py)
+    base, tx, ty = _stencil_base(grid, px, py)
     wx = _cubic_weights(tx)
     wy = _cubic_weights(ty)
     out = np.zeros(px.shape)
@@ -89,7 +121,7 @@ def _cubic_box(grid, box, px, py):
     hi = np.full(px.shape, -np.inf)
     for a, di in enumerate(_CUBIC_OFFS):
         for b, dj in enumerate(_CUBIC_OFFS):
-            vals = grid.box_read(box, i0 + di, j0 + dj)
+            vals = np.take(img, base + _offset(grid, di, dj))
             out += wx[a] * wy[b] * vals
             if di in (0, 1) and dj in (0, 1):
                 lo = np.minimum(lo, vals)
@@ -97,13 +129,13 @@ def _cubic_box(grid, box, px, py):
     return np.clip(out, lo, hi)
 
 
-def _trace_feet(grid, uboxes, dt):
+def _trace_feet(grid, uimages, dt):
     """RK4 backward feet of the cell centers in the frozen field."""
     x0 = grid.cells_xy[:, 0]
     y0 = grid.cells_xy[:, 1]
 
     def vel(px, py):
-        return _bilinear_box(grid, uboxes, px, py)
+        return _bilinear_box(grid, uimages, px, py)
 
     k1x, k1y = vel(x0, y0)
     k2x, k2y = vel(x0 - 0.5 * dt * k1x, y0 - 0.5 * dt * k1y)
@@ -126,8 +158,8 @@ def _advance(g, state, v, dt):
     if vmax > 0 and dt > 4.0 * g.h / vmax:
         raise ValueError(
             f"dt violates the CFL bound: use dt <= {4.0 * g.h / vmax:.6g}")
-    px, py = _trace_feet(g, (g.box_image(v.u1), g.box_image(v.u2)), dt)
-    new = _cubic_box(g, g.box_image(state.omega.values), px, py)
+    px, py = _trace_feet(g, (_sampling_image(g, v.u1), _sampling_image(g, v.u2)), dt)
+    new = _cubic_box(g, _sampling_image(g, state.omega.values), px, py)
     return EulerState(ScalarField(g, new), state.t + dt)
 
 
@@ -155,11 +187,11 @@ def _support_annulus(grid, zeta_vals):
     return (r >= rs.min() - 2.0 * grid.h) & (r <= rs.max() + 2.0 * grid.h)
 
 
-def _rotate_once(grid, box, xy, th):
+def _rotate_once(grid, img, xy, th):
     c, s = math.cos(th), math.sin(th)
     px = c * xy[:, 0] + s * xy[:, 1]
     py = -s * xy[:, 0] + c * xy[:, 1]
-    return _bilinear_box(grid, (box,), px, py)[0]
+    return _bilinear_box(grid, (img,), px, py)[0]
 
 
 def _orbit_metric(grid, zeta_vals, angles, p, h2p, znorm):
@@ -174,10 +206,10 @@ def _orbit_metric(grid, zeta_vals, angles, p, h2p, znorm):
     """
     ring = _support_annulus(grid, zeta_vals)
     xy = grid.cells_xy[ring]
-    box = grid.box_image(zeta_vals)
+    img = _sampling_image(grid, zeta_vals)
     coarse = np.empty((angles, xy.shape[0]))
     for k in range(angles):
-        coarse[k] = _rotate_once(grid, box, xy, 2.0 * math.pi * k / angles)
+        coarse[k] = _rotate_once(grid, img, xy, 2.0 * math.pi * k / angles)
     width = 2.0 * math.pi / angles
     gr = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -188,7 +220,7 @@ def _orbit_metric(grid, zeta_vals, angles, p, h2p, znorm):
         k = int(np.argmin(sums))
 
         def f(th):
-            rot = _rotate_once(grid, box, xy, th)
+            rot = _rotate_once(grid, img, xy, th)
             return outside + float(np.sum(np.abs(inner - rot) ** p))
 
         a, b = k * width - width, k * width + width

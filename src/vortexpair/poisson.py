@@ -4,9 +4,9 @@ The operator is the standard 5-point Laplacian on the masked grid with
 zero boundary data imposed through ghost values: a stencil leg that
 leaves the mask simply contributes nothing.  Solves go through one
 sparse LU factorization per grid (cached on the solver) followed by
-iterative refinement until the residual is at machine level; everything
-downstream (energy monotonicity of the ascent iteration, Green-function
-symmetry) leans on that accuracy.
+iterative refinement until the normwise backward error is at the unit
+roundoff; everything downstream (energy monotonicity of the ascent
+iteration, Green-function symmetry) leans on that accuracy.
 
 Conventions: G(x, y) solves -Laplace G = delta_y with G = 0 on the
 boundary; the regular part is h(x, y) = -(1/2pi) ln|x-y| - G(x, y) and
@@ -38,10 +38,13 @@ LOG_COEFF = 1.0 / (2.0 * math.pi)
 # Limic, Random Walk: A Modern Introduction, sec. 4.4), G_h(x, x) - G_h(x, y)
 # = a((y - x)/h)/4 + O(|y - x|), so H = -G_h(x, x) - (1/2pi) ln h + this
 LATTICE_ROBIN = (2.0 * np.euler_gamma + math.log(8.0)) / (4.0 * math.pi)
-# relative infinity-norm residual at which refinement stops.  The hard
-# bound is 1e-10; this target sits two orders lower so quadratic forms
-# built from solves stay monotone to 1e-12 relative.
-REFINE_TOL = 1e-13
+# normwise backward error at which refinement stops: 4u, u = 2^-53 the
+# float64 unit roundoff.  Refinement in working precision cannot lower
+# the backward error below a small multiple of u, nor the forward error
+# below cond(A) u (Skeel, Math. Comp. 35, 1980; Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 12), so a solve that meets this
+# is as good as refinement makes it.
+REFINE_TOL = 4.0 * 2.0 ** -53
 
 
 class SolveError(RuntimeError):
@@ -51,12 +54,13 @@ class SolveError(RuntimeError):
 class PoissonSolver:
     """Factorized inverse of the masked 5-point Dirichlet Laplacian.
 
-    Each solve refines until the residual is REFINE_TOL relative to the
-    right-hand side, for at most three passes, and stops early at the
-    first pass that fails to halve the residual (then the rounding floor
-    is reached); it returns the iterate with the smaller residual.  It
-    raises SolveError above 1e-10 or for a NaN residual; a non-finite
-    right-hand side is a ValueError.
+    Each solve refines until ||r|| <= REFINE_TOL (||A|| ||x|| + ||b||) in
+    the infinity norm, a normwise backward error of 4u, for at most three
+    passes, and stops early at the first pass that fails to halve the
+    residual (then the rounding floor is reached); it returns the iterate
+    with the smaller residual.  It raises SolveError above 1e-10 relative
+    to the right-hand side or for a NaN residual; a non-finite right-hand
+    side is a ValueError.
     """
 
     def __init__(self, grid: Grid):
@@ -64,6 +68,7 @@ class PoissonSolver:
         self._lu = None
         self._lock = threading.Lock()
         self.matrix = self._assemble()
+        self.matrix_norm = float(abs(self.matrix).sum(axis=1).max())  # ||A||_inf
         self.solve_count = 0
 
     def _assemble(self):
@@ -109,7 +114,7 @@ class PoissonSolver:
             # refinement: a pass that fails to halve the residual has hit
             # the rounding floor, so stop there and keep the better iterate
             for _ in range(3):
-                if res <= REFINE_TOL * scale:
+                if res <= REFINE_TOL * (self.matrix_norm * np.abs(x).max() + scale):
                     break
                 x1 = x + lu.solve(r)
                 r1 = rhs - self.matrix @ x1

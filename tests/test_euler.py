@@ -128,17 +128,28 @@ def test_stability_rejects_zero_steady_state(pair_state_96, disk96):
 
 
 def test_stability_probe_solves_once_per_step(disk64, monkeypatch):
-    # the solve that picks dt is the first step's solve
+    # the solve that picks dt is the first step's solve, and each field
+    # solve meets the backward-error target after its first LU solve
     spec = vp.RearrangementSpec(eps1=0.15, eps2=0.15, kappa1=1.0, kappa2=-1.0)
     steady = vp.maximize(disk64, spec, residual_tests=0)
     rhs = []
     solve = disk64.solve
     monkeypatch.setattr(disk64, "solve", lambda f: (rhs.append(f.copy()), solve(f))[1])
+    lu_solves = []
+    factor = disk64._factor()
+
+    class CountingLU:
+        def solve(self, b):
+            lu_solves.append(b)
+            return factor.solve(b)
+
+    monkeypatch.setattr(disk64, "_lu", CountingLU())
     r = vp.stability_experiment(disk64, steady, delta0=0.0, turnovers=0.2,
                                 records=50)
     assert len(r.times) - 1 == 7
     assert len(rhs) == 7
     assert all((a != b).any() for a, b in zip(rhs, rhs[1:]))
+    assert len(lu_solves) == len(rhs)
 
 
 _D48 = vp.build_grid(vp.DomainSpec.unit_disk(), 48)
@@ -157,22 +168,22 @@ def test_rotations_vanish_off_the_support_annulus(seed, th, r0, width):
     vals = np.where(on, rng.normal(size=g.ncells), 0.0)
     ring = euler._support_annulus(g, vals)
     assert ring[vals != 0].all()
-    rot = euler._rotate_once(g, g.box_image(vals), g.cells_xy, th)
+    rot = euler._rotate_once(g, euler._sampling_image(g, vals), g.cells_xy, th)
     assert np.all(rot[~ring] == 0.0)
 
 
 def _orbit_distance_reference(grid, zeta_vals, angles, vals, p, znorm):
     """Coarse rotations on the whole grid, then the golden refine."""
-    box = grid.box_image(zeta_vals)
+    img = euler._sampling_image(grid, zeta_vals)
     xy = grid.cells_xy
-    coarse = np.array([euler._rotate_once(grid, box, xy, 2.0 * math.pi * k / angles)
+    coarse = np.array([euler._rotate_once(grid, img, xy, 2.0 * math.pi * k / angles)
                        for k in range(angles)])
     sums = np.sum(np.abs(vals[None, :] - coarse) ** p, axis=1)
     k = int(np.argmin(sums))
     width = 2.0 * math.pi / angles
 
     def f(th):
-        rot = euler._rotate_once(grid, box, xy, th)
+        rot = euler._rotate_once(grid, img, xy, th)
         return float(np.sum(np.abs(vals - rot) ** p))
 
     a, b = k * width - width, k * width + width
@@ -204,7 +215,7 @@ def test_annulus_orbit_distance_matches_full_grid(pair_state_96, th, noise, p):
     rng = np.random.default_rng(7)
     # a rotated copy of zeta plus noise spread over the whole disk, so
     # the part off the annulus is not zero
-    vals = euler._rotate_once(g, g.box_image(zeta), g.cells_xy, th)
+    vals = euler._rotate_once(g, euler._sampling_image(g, zeta), g.cells_xy, th)
     vals = vals + noise * np.abs(zeta).max() * rng.normal(size=g.ncells)
     got = euler._orbit_metric(g, zeta, 36, p, g.cell_area, znorm)(vals)
     ref = _orbit_distance_reference(g, zeta, 36, vals, p, znorm)
@@ -232,15 +243,17 @@ def _bilinear_reference(grid, box, px, py):
 def test_bilinear_gather_matches_one_call_per_box(seed, nboxes):
     g = _G48
     rng = np.random.default_rng(seed)
-    boxes = tuple(g.box_image(rng.normal(size=g.ncells)) for _ in range(nboxes))
-    # points inside, near and beyond the box edge, some exactly on cell centers
-    px = rng.uniform(g.x0 - 2 * g.h, g.x0 + (g.nx + 2) * g.h, 200)
-    py = rng.uniform(g.y0 - 2 * g.h, g.y0 + (g.ny + 2) * g.h, 200)
+    values = [rng.normal(size=g.ncells) for _ in range(nboxes)]
+    images = tuple(euler._sampling_image(g, v) for v in values)
+    # points inside, near and up to 12 cells beyond the box edge, well past
+    # the sampling image's fill ring, some exactly on cell centers
+    px = rng.uniform(g.x0 - 12 * g.h, g.x0 + (g.nx + 12) * g.h, 400)
+    py = rng.uniform(g.y0 - 12 * g.h, g.y0 + (g.ny + 12) * g.h, 400)
     px[:20], py[:20] = g.cells_xy[:20, 0], g.cells_xy[:20, 1]
-    together = euler._bilinear_box(g, boxes, px, py)
-    for box, out in zip(boxes, together):
-        assert np.array_equal(out, euler._bilinear_box(g, (box,), px, py)[0])
-        assert np.array_equal(out, _bilinear_reference(g, box, px, py))
+    together = euler._bilinear_box(g, images, px, py)
+    for v, img, out in zip(values, images, together):
+        assert np.array_equal(out, euler._bilinear_box(g, (img,), px, py)[0])
+        assert np.array_equal(out, _bilinear_reference(g, g.box_image(v), px, py))
 
 
 def _cubic_padded_reference(grid, values, px, py):
@@ -272,9 +285,10 @@ def test_cubic_sampler_matches_padded_reference(seed):
     g = _G48
     rng = np.random.default_rng(seed)
     values = rng.normal(size=g.ncells)
-    # points inside, near and up to three cells beyond the box edge
-    px = rng.uniform(g.x0 - 3 * g.h, g.x0 + (g.nx + 3) * g.h, 300)
-    py = rng.uniform(g.y0 - 3 * g.h, g.y0 + (g.ny + 3) * g.h, 300)
+    # points inside, near and up to 12 cells beyond the box edge, well past
+    # the sampling image's fill ring
+    px = rng.uniform(g.x0 - 12 * g.h, g.x0 + (g.nx + 12) * g.h, 400)
+    py = rng.uniform(g.y0 - 12 * g.h, g.y0 + (g.ny + 12) * g.h, 400)
     px[:20], py[:20] = g.cells_xy[:20, 0], g.cells_xy[:20, 1]
-    got = euler._cubic_box(g, g.box_image(values), px, py)
+    got = euler._cubic_box(g, euler._sampling_image(g, values), px, py)
     assert np.array_equal(got, _cubic_padded_reference(g, values, px, py))

@@ -260,13 +260,18 @@ def test_solve_nan_residual_raises():
 
 
 class _CountingLU:
-    """Wraps a factor, keeps every correction it returns; `scale` corrupts it."""
+    """Wraps a factor, keeps every correction it returns; `scale` corrupts it.
+
+    `scale` is one factor for every solve or a sequence, one per solve,
+    whose last entry repeats.
+    """
 
     def __init__(self, lu, scale=1.0):
-        self.lu, self.scale, self.outs = lu, scale, []
+        self.lu, self.scales, self.outs = lu, np.atleast_1d(scale), []
 
     def solve(self, b):
-        y = self.scale * self.lu.solve(b)
+        k = min(len(self.outs), len(self.scales) - 1)
+        y = self.scales[k] * self.lu.solve(b)
         self.outs.append(y)
         return y
 
@@ -278,29 +283,54 @@ def _counting_solver(n, scale=1.0):
     return solver, lu
 
 
-def test_refinement_stops_at_first_pass_that_fails_to_halve():
-    solver, lu = _counting_solver(48)
-    g = solver.grid
+def _patch_pair(g):
+    # a wide patch pair, the kind of field right-hand side the ascent and
+    # the Euler steps solve
     xy = g.cells_xy
-    # a wide patch pair: its first correction helps, the second does not
-    rhs = (np.where(np.hypot(xy[:, 0] - 0.6, xy[:, 1]) < 0.3, 1.0, 0.0)
-           - np.where(np.hypot(xy[:, 0] + 0.6, xy[:, 1]) < 0.3, 1.0, 0.0)
-           ) / (np.pi * 0.3 ** 2)
+    return (np.where(np.hypot(xy[:, 0] - 0.6, xy[:, 1]) < 0.3, 1.0, 0.0)
+            - np.where(np.hypot(xy[:, 0] + 0.6, xy[:, 1]) < 0.3, 1.0, 0.0)
+            ) / (np.pi * 0.3 ** 2)
+
+
+def _backward_target(solver, rhs, x):
+    return vp.poisson.REFINE_TOL * (solver.matrix_norm * np.abs(x).max()
+                                    + np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("last", [0.4, 2.5])
+def test_refinement_stops_at_first_pass_that_fails_to_halve(last):
+    # the first solve leaves a residual of 5e-11 relative to the rhs, far
+    # above the backward-error target; the first correction leaves -0.3 of
+    # it (a pass that halves), the second 0.6 (still better) or -1.5
+    # (worse) of that, so refinement stops there
+    solver, lu = _counting_solver(48, scale=(1.0 + 5e-11, 1.3, last))
+    rhs = _patch_pair(solver.grid)
     x = solver.solve(rhs)
-    scale = np.abs(rhs).max()
     # replay the refinement from the corrections the factor returned
     iterates = [lu.outs[0]]
     for y in lu.outs[1:]:
         iterates.append(iterates[-1] + y)
     res = [np.abs(rhs - solver.matrix @ it).max() for it in iterates]
-    assert 2 <= len(lu.outs) < 4  # at least one pass, fewer than three
+    assert len(lu.outs) == 3
     for k in range(1, len(res) - 1):
-        assert res[k - 1] > vp.poisson.REFINE_TOL * scale
+        assert res[k - 1] > _backward_target(solver, rhs, iterates[k - 1])
         assert res[k] <= 0.5 * res[k - 1]
-    assert res[-2] > vp.poisson.REFINE_TOL * scale
+    assert res[-2] > _backward_target(solver, rhs, iterates[-2])
     assert not res[-1] <= 0.5 * res[-2]
     kept = iterates[-1] if res[-1] < res[-2] else iterates[-2]
     assert np.array_equal(x, kept)
+    assert (res[-1] < res[-2]) == (last == 0.4)
+
+
+@pytest.mark.parametrize("n", [48, 80])
+def test_field_solve_meeting_backward_error_makes_one_lu_solve(n):
+    # a residual of 1e-13 relative to the rhs is out of reach from n = 80
+    # on, but the first LU solve already meets the backward-error target
+    solver, lu = _counting_solver(n)
+    rhs = _patch_pair(solver.grid)
+    x = solver.solve(rhs)
+    assert len(lu.outs) == 1
+    assert np.abs(rhs - solver.matrix @ x).max() <= _backward_target(solver, rhs, x)
 
 
 def test_unit_charge_makes_one_lu_solve():

@@ -8,6 +8,17 @@ bytes, which is how a refactor shows it kept the outputs.
     python3 tools/cli_digest.py                  # this checkout, temp outputs
     python3 tools/cli_digest.py --src OTHER/src  # another checkout
     python3 tools/cli_digest.py --out DIR        # keep the outputs in DIR
+    python3 tools/cli_digest.py --against DIR    # and compare with DIR's
+
+`--out DIR` also keeps the digest itself as DIR/digest.txt.  With
+`--against DIR` (a directory an earlier `--out` wrote), every file whose
+bytes differ from DIR's copy is listed after the digest with the worst
+relative difference |a - b| / max(|a|, |b|) over the numbers parsed from
+it, the line where that occurs, the worst absolute difference and the
+number of differing lines; binary files (the PGM previews) are compared
+byte by byte.  Lines matching `--skip REGEX` (say `solver_tol`) are left
+out of the numbers.  Exit-code changes, files present on one side only
+and text that differs in more than its numbers are listed too.
 
 The whole set takes about a minute and a half on two cores.
 """
@@ -16,7 +27,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -198,6 +211,81 @@ def run_all(src: Path, root: Path) -> list[str]:
     return lines
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"|\b(?:nan|inf|null|NaN|Infinity)\b")
+
+
+def _value(token: str) -> float:
+    return math.nan if token == "null" else float(token)
+
+
+def _rel(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare_file(here: Path, there: Path, skip) -> str:
+    """One line on how two versions of an output file differ."""
+    a, b = here.read_bytes(), there.read_bytes()
+    try:
+        la = a.decode("utf-8").splitlines()
+        lb = b.decode("utf-8").splitlines()
+    except UnicodeDecodeError:  # binary: compare byte by byte
+        if len(a) != len(b):
+            return f"size {len(b)} -> {len(a)} bytes"
+        d = [abs(x - y) for x, y in zip(a, b) if x != y]
+        return f"bytes {len(d)} of {len(a)} differ, worst by {max(d)}"
+    if len(la) != len(lb):
+        return f"lines {len(lb)} -> {len(la)}"
+    worst, at, absd, lines, text = 0.0, 0, 0.0, 0, 0
+    for k, (x, y) in enumerate(zip(la, lb), 1):
+        if x == y or (skip and (skip.search(x) or skip.search(y))):
+            continue
+        lines += 1
+        nx, ny = NUMBER.findall(x), NUMBER.findall(y)
+        if NUMBER.sub("#", x) != NUMBER.sub("#", y) or len(nx) != len(ny):
+            text += 1
+            continue
+        for u, v in zip(map(_value, nx), map(_value, ny)):
+            r = _rel(u, v)
+            if r > worst:
+                worst, at = r, k
+            if math.isfinite(u) and math.isfinite(v):
+                absd = max(absd, abs(u - v))
+    if not lines:
+        return "only skipped lines differ"
+    out = f"rel {worst:.2g} at line {at}  abs {absd:.2g}  lines {lines}"
+    return out + (f"  text differs on {text} lines" if text else "")
+
+
+def compare(root: Path, other: Path, lines: list[str], skip) -> list[str]:
+    """The differences of the outputs under `root` from those under `other`."""
+    theirs = (other / "digest.txt").read_text().splitlines()
+    exits = dict(l.split(" exit ")[0:2] for l in theirs if l.startswith("# "))
+    digests = dict(l.split("  ")[::-1] for l in theirs if not l.startswith("# "))
+    out = [f"# against {other}"]
+    seen = set()
+    for line in lines:
+        if line.startswith("# "):
+            run, rc = line.split(" exit ")
+            if exits.get(run, rc) != rc:
+                out.append(f"{run[2:]}: exit {exits[run]} -> {rc}")
+            continue
+        digest, name = line.split("  ")
+        seen.add(name)
+        if name not in digests:
+            out.append(f"{name}: only here")
+        elif digests[name] != digest:
+            out.append(f"{name}: {compare_file(root / name, other / name, skip)}")
+    out += [f"{name}: only in {other}" for name in digests if name not in seen]
+    if len(out) == 1:
+        out.append("no file differs")
+    return out
+
+
 def main(argv=None) -> int:
     here = Path(__file__).resolve().parents[1]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -205,12 +293,18 @@ def main(argv=None) -> int:
                     help="directory holding the vortexpair package")
     ap.add_argument("--out", type=Path, default=None,
                     help="keep the outputs here instead of a temp dir")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="compare the outputs with those an earlier --out kept here")
+    ap.add_argument("--skip", type=re.compile, default=None,
+                    help="with --against: leave lines matching this regex out")
     args = ap.parse_args(argv)
-    if args.out is not None:
-        lines = run_all(args.src.resolve(), args.out.resolve())
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            lines = run_all(args.src.resolve(), Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) if args.out is None else args.out.resolve()
+        lines = run_all(args.src.resolve(), root)
+        if args.out is not None:
+            (root / "digest.txt").write_text("\n".join(lines) + "\n")
+        if args.against is not None:
+            lines += compare(root, args.against.resolve(), lines, args.skip)
     print("\n".join(lines))
     return 0
 
