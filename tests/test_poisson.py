@@ -297,12 +297,7 @@ def _backward_target(solver, rhs, x):
                                     + np.abs(rhs).max())
 
 
-@pytest.mark.parametrize("last", [0.4, 2.5])
-def test_refinement_stops_at_first_pass_that_fails_to_halve(last):
-    # the first solve leaves a residual of 5e-11 relative to the rhs, far
-    # above the backward-error target; the first correction leaves -0.3 of
-    # it (a pass that halves), the second 0.6 (still better) or -1.5
-    # (worse) of that, so refinement stops there
+def _check_refinement_stops_at_first_pass_that_fails_to_halve(last):
     solver, lu = _counting_solver(48, scale=(1.0 + 5e-11, 1.3, last))
     rhs = _patch_pair(solver.grid)
     x = solver.solve(rhs)
@@ -320,6 +315,15 @@ def test_refinement_stops_at_first_pass_that_fails_to_halve(last):
     kept = iterates[-1] if res[-1] < res[-2] else iterates[-2]
     assert np.array_equal(x, kept)
     assert (res[-1] < res[-2]) == (last == 0.4)
+
+
+def test_refinement_stops_at_first_pass_that_fails_to_halve():
+    # the first solve leaves a residual of 5e-11 relative to the rhs, far
+    # above the backward-error target; the first correction leaves -0.3 of
+    # it (a pass that halves), the second 0.6 (still better) or -1.5
+    # (worse) of that, so refinement stops there
+    for last in (0.4, 2.5):
+        _check_refinement_stops_at_first_pass_that_fails_to_halve(last)
 
 
 @pytest.mark.parametrize("n", [48, 80])
