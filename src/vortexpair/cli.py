@@ -33,7 +33,7 @@ from .fields import (hardy_littlewood_suite, lp_norm, riesz_suite,
 from .grid import DomainSpec, build_grid
 from .kirchhoff import KRConfiguration, kr_minimize, pv_evolve
 from .maximizer import RearrangementSpec, maximize
-from .poisson import REFINE_TOL, PoissonSolver, SolveError
+from .poisson import RESIDUAL_TOL, PoissonSolver, SolveError
 
 __all__ = ["main", "ConfigError"]
 
@@ -115,9 +115,8 @@ def load_config(path: str) -> _Cfg:
     if cp.has_option("solver", "tol"):
         # an old config must not silently change meaning
         raise ConfigError("[solver] tol: no longer a setting; every solve "
-                          f"refines to a normwise backward error of {REFINE_TOL!r} "
-                          "and fails above a residual of 1e-10 relative to "
-                          "the right-hand side")
+                          f"fails above a residual of {RESIDUAL_TOL!r} "
+                          "relative to the right-hand side")
     return _Cfg(cp, path, raw)
 
 
@@ -179,7 +178,7 @@ def _spec_from(cfg: _Cfg, eps1: float, eps2: float) -> RearrangementSpec:
 
 def _provenance(cfg: _Cfg, n: int) -> dict:
     return {"config_sha256": cfg.sha256, "grid_n": n,
-            "solver_tol": REFINE_TOL, "version": __version__}
+            "solver_tol": RESIDUAL_TOL, "version": __version__}
 
 
 def _solver(cfg: _Cfg, n: int):

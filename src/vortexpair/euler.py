@@ -194,6 +194,10 @@ def _rotate_once(grid, img, xy, th):
     return _bilinear_box(grid, (img,), px, py)[0]
 
 
+# coarse rotation samples of the disk's orbit distance
+ORBIT_ANGLES = 36
+
+
 def _orbit_metric(grid, zeta_vals, angles, p, h2p, znorm):
     """dist(vals): the relative Lp distance to the rotation orbit of zeta.
 
@@ -245,16 +249,16 @@ def _orbit_metric(grid, zeta_vals, angles, p, h2p, znorm):
 
 def stability_experiment(solver: PoissonSolver, steady: SteadyState,
                          delta0: float, turnovers: float = 10.0,
-                         seed: int = 0, angles: int = 36,
-                         dt: float | None = None,
+                         seed: int = 0, dt: float | None = None,
                          records: int = 200) -> StabilityResult:
     """Evolve steady + seeded bump of Lp size delta0; track the distance.
 
-    d(t) = min over sampled rotations (disk only; identity otherwise) of
-    ||omega(t) - R zeta||_p / ||zeta||_p.  One turnover is 4*pi over the
-    peak vorticity, the rotation period of a solid core.  Aborts, with
-    the flag set, if max |omega| exceeds 10x its initial value or the
-    CFL bound fails mid-run.
+    d(t) = min over rotations (disk only, ORBIT_ANGLES coarse samples then
+    a golden refine; identity otherwise) of ||omega(t) - R zeta||_p /
+    ||zeta||_p.  One turnover is 4*pi over the peak vorticity, the
+    rotation period of a solid core.  Aborts, with the flag set, if
+    max |omega| exceeds 10x its initial value or the CFL bound fails
+    mid-run.
     """
     g = solver.grid
     zeta = steady.zeta
@@ -280,15 +284,13 @@ def stability_experiment(solver: PoissonSolver, steady: SteadyState,
         omega = omega + phi * (delta0 / pnorm)
     state = EulerState(ScalarField(g, omega))
 
-    nang = angles if g.domain.kind == "unit_disk" and angles > 1 else 1
     h2p = g.cell_area
-
-    if nang == 1:
+    if g.domain.kind == "unit_disk":
+        dist = _orbit_metric(g, zeta.values, ORBIT_ANGLES, p, h2p, znorm)
+    else:
         def dist(vals):
             s = float(np.sum(np.abs(vals - zeta.values) ** p))
             return (s * h2p) ** (1.0 / p) / znorm
-    else:
-        dist = _orbit_metric(g, zeta.values, nang, p, h2p, znorm)
 
     peak = float(np.abs(zeta.values).max())
     turnover = 4.0 * math.pi / peak

@@ -137,22 +137,18 @@ def symmetric_decreasing_rearrangement(f: ScalarField, plane: Grid | None = None
     return ScalarField(plane, out)
 
 
-def rescale_profile(f: ScalarField, eps: float, center, plane: Grid | None = None,
-                    half_extent: float = 2.0) -> ScalarField:
+def rescale_profile(f: ScalarField, eps: float, center) -> ScalarField:
     """Zoom into a core: xi(x) = eps^2 * f(eps*x + center), nearest cell.
 
-    The default plane grid has spacing h/eps and covers the square of
-    half-width `half_extent`, i.e. cores of diameter up to
-    2*half_extent*eps around `center`.  Points that land outside the
-    mask read zero.
+    The plane grid has spacing h/eps and covers the square of half-width
+    2, i.e. cores of diameter up to 4*eps around `center`.  Points that
+    land outside the mask read zero.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     g = f.grid
-    if plane is None:
-        hp = g.h / eps
-        half = int(math.ceil(half_extent / hp))
-        plane = plane_grid(hp, max(half, 1))
+    hp = g.h / eps
+    plane = plane_grid(hp, max(int(math.ceil(2.0 / hp)), 1))
     px = plane.cells_xy[:, 0] * eps + center[0]
     py = plane.cells_xy[:, 1] * eps + center[1]
     ids = g.locate(px, py)
@@ -194,19 +190,23 @@ def read_field_text(path):
 def write_pgm(f: ScalarField, path, extra=None) -> None:
     """8-bit binary PGM of the bounding box plus a min/max sidecar JSON.
 
-    Grayscale is linear between the box minimum and maximum (flat fields
-    render mid-gray); rows are flipped so +y points up in the image.
-    `extra` entries are merged into the sidecar.
+    Grayscale is round(254 t) with maxval 254, t linear from 0 at the box
+    minimum to 1 at the maximum (flat fields render mid-gray, 127).  With
+    an odd number of levels, t = 0, 1/2 and 1 (the ends, and the zero
+    exterior of a field with min = -max) sit on levels, not on rounding
+    boundaries, so a last-bit change of either end leaves the bytes alone.
+    Rows are flipped so +y points up in the image.  `extra` entries are
+    merged into the sidecar.
     """
     g = f.grid
     box = g.box_image(f.values)
     vmin, vmax = float(box.min()), float(box.max())
     if vmax > vmin:
-        pix = np.round((box - vmin) / (vmax - vmin) * 255.0).astype(np.uint8)
+        pix = np.round((box - vmin) / (vmax - vmin) * 254.0).astype(np.uint8)
     else:
-        pix = np.full(box.shape, 128, dtype=np.uint8)
+        pix = np.full(box.shape, 127, dtype=np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{g.nx} {g.ny}\n255\n".encode())
+        fh.write(f"P5\n{g.nx} {g.ny}\n254\n".encode())
         fh.write(pix[::-1].tobytes())
     side = {"min": vmin, "max": vmax, "width": g.nx, "height": g.ny,
             "h": g.h, "exterior": 0.0}
@@ -236,11 +236,11 @@ class SuiteOutcome:
         return asdict(self)
 
 
-def hardy_littlewood_suite(instances: int = 100, seed: int = 0,
-                           half_cells: int = 12, tol: float = 1e-10) -> SuiteOutcome:
+def hardy_littlewood_suite(instances: int = 100, seed: int = 0) -> SuiteOutcome:
     """Sum(u v) <= Sum(u* v*) over random nonnegative field pairs."""
     if instances < 1:  # zero instances would pass without testing anything
         raise ValueError(f"instances must be >= 1 (got {instances})")
+    half_cells, tol = 12, 1e-10
     plane = plane_grid(1.0 / (2 * half_cells), half_cells)
     rng = np.random.default_rng(seed)
     h2 = plane.cell_area
@@ -274,8 +274,7 @@ def _log_kernel_sum(plane: Grid, u: np.ndarray, w: np.ndarray) -> float:
     return float(u[iu] @ k @ w[iw]) * plane.cell_area ** 2
 
 
-def riesz_suite(instances: int = 100, seed: int = 0, half_cells: int = 16,
-                tol: float = 1e-8) -> SuiteOutcome:
+def riesz_suite(instances: int = 100, seed: int = 0) -> SuiteOutcome:
     """Riesz with the cell-truncated log kernel, random small supports.
 
     The kernel goes negative past |z| = 1, but adding a constant shifts
@@ -284,6 +283,7 @@ def riesz_suite(instances: int = 100, seed: int = 0, half_cells: int = 16,
     """
     if instances < 1:  # zero instances would pass without testing anything
         raise ValueError(f"instances must be >= 1 (got {instances})")
+    half_cells, tol = 16, 1e-8
     plane = plane_grid(1.0 / (2 * half_cells), half_cells)
     rng = np.random.default_rng(seed)
     xy = plane.cells_xy

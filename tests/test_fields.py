@@ -215,6 +215,25 @@ def test_pgm_output(tmp_path, disk32):
     assert side["max"] >= side["min"]
 
 
+def test_pgm_antisymmetric_bytes_survive_last_bit_moves(tmp_path, disk32):
+    # an odd field: min = -max, so the zero exterior sits at t = 1/2
+    x, y = disk32.cells_xy[:, 0], disk32.cells_xy[:, 1]
+    vals = np.sin(3.0 * x) * np.cos(2.0 * y)
+    assert vals.min() == -vals.max()
+
+    def pgm(v, name):
+        vp.write_pgm(vp.ScalarField(disk32, v), tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    base = pgm(vals, "base.pgm")
+    for cell in (int(vals.argmin()), int(vals.argmax())):
+        for target in (-np.inf, np.inf):
+            moved = vals.copy()
+            for ulps in range(1, 5):
+                moved[cell] = np.nextafter(moved[cell], target)
+                assert pgm(moved, "moved.pgm") == base, (cell, target, ulps)
+
+
 @pytest.mark.parametrize("suite", [vp.hardy_littlewood_suite, vp.riesz_suite])
 @pytest.mark.parametrize("instances", [0, -3])
 def test_suites_reject_no_instances(suite, instances):

@@ -419,3 +419,26 @@ def test_spec_rejects_non_finite(name, value):
     kw[name] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         vp.RearrangementSpec(**kw)
+
+
+def test_maximize_reports_a_two_cycle(disk64, monkeypatch):
+    spec = vp.RearrangementSpec(eps1=0.15, eps2=0.15, kappa1=1.0,
+                                kappa2=-1.0)
+    real = vp.maximizer.best_response
+    members = []
+
+    def alternating(proto, psi):
+        # two members of the class, neither the seed: the true best
+        # response with its values rolled over the cells by 7 and by 14
+        if not members:
+            v = real(proto, psi).values
+            members.extend(vp.ScalarField(psi.grid, np.roll(v, k))
+                           for k in (7, 14))
+        members.append(members[-2])
+        return members[-1]
+
+    monkeypatch.setattr(vp.maximizer, "best_response", alternating)
+    state = vp.maximize(disk64, spec, residual_tests=0)
+    assert state.converged is False
+    assert state.note == "cycle of length 2 detected"
+    assert state.iterations == 3

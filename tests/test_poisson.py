@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vortexpair as vp
 from conftest import centered_patch
@@ -16,7 +20,7 @@ def test_solve_residual_contract(disk64):
     rng = np.random.default_rng(0)
     f = rng.normal(size=g.cells_xy.shape[0])
     psi = disk64.solve(f)
-    # -Delta psi recovers f at full-stencil cells to the refinement tol
+    # -Delta psi recovers f at full-stencil cells to the solver's residual bound
     nb = g.neighbors
     full = np.all(nb >= 0, axis=1)
     lap = (psi[nb[full, 0]] + psi[nb[full, 1]] + psi[nb[full, 2]]
@@ -260,18 +264,13 @@ def test_solve_nan_residual_raises():
 
 
 class _CountingLU:
-    """Wraps a factor, keeps every correction it returns; `scale` corrupts it.
-
-    `scale` is one factor for every solve or a sequence, one per solve,
-    whose last entry repeats.
-    """
+    """Wraps a factor and keeps every solution it returns, times `scale`."""
 
     def __init__(self, lu, scale=1.0):
-        self.lu, self.scales, self.outs = lu, np.atleast_1d(scale), []
+        self.lu, self.scale, self.outs = lu, scale, []
 
     def solve(self, b):
-        k = min(len(self.outs), len(self.scales) - 1)
-        y = self.scales[k] * self.lu.solve(b)
+        y = self.scale * self.lu.solve(b)
         self.outs.append(y)
         return y
 
@@ -283,58 +282,45 @@ def _counting_solver(n, scale=1.0):
     return solver, lu
 
 
-def _patch_pair(g):
+@functools.lru_cache(maxsize=4)
+def _solver_and_factor(domain, n):
+    spec = (vp.DomainSpec.unit_disk() if domain == "disk"
+            else vp.DomainSpec.rectangle(1.3, 1.0))
+    solver = vp.PoissonSolver(vp.build_grid(spec, n))
+    return solver, solver._factor()
+
+
+def _rhs(g, kind, rng):
+    xy = g.cells_xy
+    if kind == "charge":
+        rhs = np.zeros(g.ncells)
+        rhs[rng.integers(g.ncells)] = 1.0 / g.cell_area
+        return rhs
+    if kind == "random":
+        return rng.normal(size=g.ncells)
     # a wide patch pair, the kind of field right-hand side the ascent and
     # the Euler steps solve
-    xy = g.cells_xy
-    return (np.where(np.hypot(xy[:, 0] - 0.6, xy[:, 1]) < 0.3, 1.0, 0.0)
-            - np.where(np.hypot(xy[:, 0] + 0.6, xy[:, 1]) < 0.3, 1.0, 0.0)
-            ) / (np.pi * 0.3 ** 2)
+    c = xy.mean(axis=0)
+    half = 0.5 * (xy.max(axis=0) - xy.min(axis=0))
+    a = 0.3 * half.min()
+    pair = [np.hypot(xy[:, 0] - c[0] - s * 0.6 * half[0], xy[:, 1] - c[1]) < a
+            for s in (1.0, -1.0)]
+    return (pair[0].astype(float) - pair[1]) / (np.pi * a * a)
 
 
-def _backward_target(solver, rhs, x):
-    return vp.poisson.REFINE_TOL * (solver.matrix_norm * np.abs(x).max()
-                                    + np.abs(rhs).max())
-
-
-def _check_refinement_stops_at_first_pass_that_fails_to_halve(last):
-    solver, lu = _counting_solver(48, scale=(1.0 + 5e-11, 1.3, last))
-    rhs = _patch_pair(solver.grid)
-    x = solver.solve(rhs)
-    # replay the refinement from the corrections the factor returned
-    iterates = [lu.outs[0]]
-    for y in lu.outs[1:]:
-        iterates.append(iterates[-1] + y)
-    res = [np.abs(rhs - solver.matrix @ it).max() for it in iterates]
-    assert len(lu.outs) == 3
-    for k in range(1, len(res) - 1):
-        assert res[k - 1] > _backward_target(solver, rhs, iterates[k - 1])
-        assert res[k] <= 0.5 * res[k - 1]
-    assert res[-2] > _backward_target(solver, rhs, iterates[-2])
-    assert not res[-1] <= 0.5 * res[-2]
-    kept = iterates[-1] if res[-1] < res[-2] else iterates[-2]
-    assert np.array_equal(x, kept)
-    assert (res[-1] < res[-2]) == (last == 0.4)
-
-
-def test_refinement_stops_at_first_pass_that_fails_to_halve():
-    # the first solve leaves a residual of 5e-11 relative to the rhs, far
-    # above the backward-error target; the first correction leaves -0.3 of
-    # it (a pass that halves), the second 0.6 (still better) or -1.5
-    # (worse) of that, so refinement stops there
-    for last in (0.4, 2.5):
-        _check_refinement_stops_at_first_pass_that_fails_to_halve(last)
-
-
-@pytest.mark.parametrize("n", [48, 80])
-def test_field_solve_meeting_backward_error_makes_one_lu_solve(n):
-    # a residual of 1e-13 relative to the rhs is out of reach from n = 80
-    # on, but the first LU solve already meets the backward-error target
-    solver, lu = _counting_solver(n)
-    rhs = _patch_pair(solver.grid)
+@settings(max_examples=30, deadline=None)
+@given(domain=st.sampled_from(["disk", "rectangle"]),
+       n=st.integers(32, 80),
+       kind=st.sampled_from(["pair", "charge", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_solve_makes_one_lu_solve(domain, n, kind, seed):
+    solver, factor = _solver_and_factor(domain, n)
+    lu = _CountingLU(factor)
+    solver._lu = lu
+    rhs = _rhs(solver.grid, kind, np.random.default_rng(seed))
     x = solver.solve(rhs)
     assert len(lu.outs) == 1
-    assert np.abs(rhs - solver.matrix @ x).max() <= _backward_target(solver, rhs, x)
+    assert np.abs(rhs - solver.matrix @ x).max() <= 1e-10 * np.abs(rhs).max()
 
 
 def test_unit_charge_makes_one_lu_solve():
@@ -344,9 +330,9 @@ def test_unit_charge_makes_one_lu_solve():
 
 
 def test_corrupted_solve_raises_after_one_pass():
-    # each correction is 0.4 of the true one, so a pass leaves 0.6 of the
-    # residual: refinement stops after the first pass and the bound fails
+    # the factor returns 0.4 of the true solution, so the residual is 0.6
+    # of the rhs: the one LU solve fails the bound and nothing retries it
     solver, lu = _counting_solver(32, scale=0.4)
-    with pytest.raises(vp.SolveError, match="stalled"):
+    with pytest.raises(vp.SolveError, match="inaccurate"):
         solver.solve(np.ones(solver.grid.ncells))
-    assert len(lu.outs) == 2
+    assert len(lu.outs) == 1

@@ -1,0 +1,127 @@
+"""Alternating benchmark pairs: this checkout against another, one workload.
+
+    python3 tools/bench_pairs.py --parent DIR --workload steady_kr
+    python3 tools/bench_pairs.py --parent DIR --workload all --pairs 10 \\
+        --seconds 10 --seed 1
+
+A pair runs `perfbench/run.py --workload W --seed N --seconds S --trace 0`
+once in this checkout and once in DIR (say a `git archive` of the parent
+commit), one after the other.  Which side goes first alternates from pair
+to pair, so a drift in the host's speed falls on both sides alike.  Each
+invocation reports the median of its runs for every end-to-end metric.
+Over the K pairs this prints, per metric: the median and quartiles of
+the K values on each side, the pairs the change won (strictly better),
+the relative change of the medians, (change - parent) / |parent|, and
+whether that change is worse than the metric's bound in this
+checkout's BENCHMARK.json.  Failed and attempted runs are summed per
+side.
+
+Exit code 0 when no metric is worse than its bound and no run failed,
+1 otherwise, 2 on a usage error.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `perfbench/run.py` invocation; its final JSON object."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(proc.stderr)
+        return {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
+
+
+def _quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q = statistics.quantiles(xs, n=4)
+    return q[0], q[2]
+
+
+def compare(workload: str, sides: dict, bounds: list[dict]) -> bool:
+    """Print one table; True if some metric is worse than its bound."""
+    print(f"# {workload}: {len(sides['change'])} pairs")
+    for name in ("change", "parent"):
+        att = sum(r["attempted"] for r in sides[name])
+        fail = sum(r["failed"] for r in sides[name])
+        print(f"#   {name}: {fail} failed / {att} attempted runs")
+    worse_any = False
+    for m in bounds:
+        key, lower = m["name"], m["better"] == "lower"
+        pairs = [(a["metrics"][key]["value"], b["metrics"][key]["value"])
+                 for a, b in zip(sides["change"], sides["parent"])
+                 if key in a["metrics"] and key in b["metrics"]]
+        if not pairs:
+            print(f"#   {key}: no samples")
+            continue
+        new, old = [p[0] for p in pairs], [p[1] for p in pairs]
+        wins = sum((a < b) if lower else (a > b) for a, b in pairs)
+        mn, mo = statistics.median(new), statistics.median(old)
+        if mo:
+            change = (mn - mo) / abs(mo)
+        else:
+            change = math.copysign(math.inf, mn - mo) if mn != mo else 0.0
+        worse = (change if lower else -change) > m["bound"]
+        worse_any |= worse
+        (n1, n3), (o1, o3) = _quartiles(new), _quartiles(old)
+        print(f"#   {key:12s} change {mn:.6g} [{n1:.6g}, {n3:.6g}]  "
+              f"parent {mo:.6g} [{o1:.6g}, {o3:.6g}]  "
+              f"won {wins}/{len(pairs)}  rel {change:+.3e}  "
+              f"bound {m['bound']:.0%}: {'WORSE' if worse else 'ok'}")
+    return worse_any
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", type=Path, required=True,
+                    help="checkout to compare against")
+    ap.add_argument("--workload", required=True,
+                    help="a workload of BENCHMARK.json, or all")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in bench["workloads"]]
+    todo = known if args.workload == "all" else [args.workload]
+    if args.workload != "all" and args.workload not in known:
+        ap.error(f"unknown workload {args.workload!r}; one of {known}")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    if not (args.parent / "perfbench" / "run.py").is_file():
+        ap.error(f"{args.parent} has no perfbench/run.py")
+    checkouts = {"change": ROOT, "parent": args.parent.resolve()}
+
+    bad = False
+    for workload in todo:
+        sides = {"change": [], "parent": []}
+        for k in range(args.pairs):
+            order = ("change", "parent") if k % 2 == 0 else ("parent", "change")
+            for name in order:
+                res = run_side(checkouts[name], workload, args.seed, args.seconds)
+                sides[name].append(res)
+                bad |= res["failed"] > 0 or not res["correct"]
+            print(f"# pair {k + 1}/{args.pairs} done ({order[0]} first)",
+                  file=sys.stderr, flush=True)
+        bad |= compare(workload, sides, bench["end_to_end"])
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
