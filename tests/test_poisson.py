@@ -323,6 +323,17 @@ def test_every_solve_makes_one_lu_solve(domain, n, kind, seed):
     assert np.abs(rhs - solver.matrix @ x).max() <= 1e-10 * np.abs(rhs).max()
 
 
+@pytest.mark.parametrize("n", [48, 80])
+def test_field_solve_meeting_backward_error_makes_one_lu_solve(n):
+    # the patch-pair field solve of the ascent and the Euler steps on the
+    # disk: one LU solve, whose residual meets the 1e-10 relative bound
+    solver, lu = _counting_solver(n)
+    rhs = _rhs(solver.grid, "pair", None)
+    x = solver.solve(rhs)
+    assert len(lu.outs) == 1
+    assert np.abs(rhs - solver.matrix @ x).max() <= 1e-10 * np.abs(rhs).max()
+
+
 def test_unit_charge_makes_one_lu_solve():
     solver, lu = _counting_solver(48)
     vp.green_function(solver, solver.grid.ncells // 2)
