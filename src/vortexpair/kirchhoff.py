@@ -24,9 +24,9 @@ evaluation paths coexist on purpose:
   from the same store, one solve per lattice site) and interpolated
   with quintic splines.  A Runge-Kutta step needs a C^4 right-hand side
   for its order and for visible conservation of W; per-step finite
-  differences of snapped solves would bury both in cell noise.  One RK
-  stage evaluates all 4k central-difference configurations together:
-  one `H` call and one `hreg` call.
+  differences of snapped solves would bury both in cell noise.  One
+  evaluator returns W and its exact gradient, from the closed-form
+  quintic weights and their derivatives.
 
 Positions handed to the solve-backed functions are snapped to the
 containing cell; margins (4h for values, 6h for gradients and descent)
@@ -358,6 +358,8 @@ def _parabolic_refine(solver, p0, cells0, kappas, w0):
 def robin_scan_center(solver: PoissonSolver, margin_h: float = 6.0) -> np.ndarray:
     """Scan-lattice site of least Robin value: the single-signed KR seed."""
     sites = _scan_lattice(solver, margin_h)
+    if not len(sites):
+        raise ValueError("domain too small for the scan lattice")
     store = _store(solver)
     r = store.rows(solver, sites)
     return solver.grid.cells_xy[sites[int(np.argmin(store.H[r]))]]
@@ -390,9 +392,7 @@ class _KRInterpolant:
         px, py = g.cells_xy[cid[valid]].T
         d = np.hypot(px[:, None] - px[None, :], py[:, None] - py[None, :])
         np.fill_diagonal(d, 1.0)
-        # libm log, elementwise: np.log differs from it in the last bit
-        logd = np.array([math.log(x) for x in d.ravel()]).reshape(d.shape)
-        hv = -LOG_COEFF * logd - store.G[np.ix_(r, r)]
+        hv = -LOG_COEFF * np.log(d) - store.G[np.ix_(r, r)]
         np.fill_diagonal(hv, store.H[r])
         a, b = np.nonzero(valid)
         hreg = np.zeros((mx, my, mx, my))
@@ -410,55 +410,47 @@ class _KRInterpolant:
         self._h4 = ndimage.spline_filter(hreg, order=5)
         self.trust_margin = 1.5 * _STRIDE * g.h
 
-    def _lat(self, xy: np.ndarray) -> np.ndarray:
+    def value_and_gradient(self, pts: np.ndarray, kappas: np.ndarray):
+        """W at the configuration `pts` (k, 2) and its exact gradient (k, 2)."""
         g = self.grid
-        u = ((xy[..., 0] - g.x0) / g.h - 0.5 - _STRIDE // 2) / _STRIDE
-        v = ((xy[..., 1] - g.y0) / g.h - 0.5 - _STRIDE // 2) / _STRIDE
-        return np.stack([u, v])
+        u = ((pts - [g.x0, g.y0]) / g.h - 0.5 - _STRIDE // 2) / _STRIDE  # in table steps
+        du = 1.0 / (_STRIDE * g.h)  # d(table coordinate)/dx
+        hs, dhs = _spline(self._H, u)
+        w = 0.5 * (kappas ** 2 * hs).sum()
+        grad = 0.5 * (kappas ** 2 * du)[:, None] * dhs
+        i, j = np.nonzero(np.arange(kappas.size)[:, None] < np.arange(kappas.size))
+        hr, dhr = _spline(self._h4, np.hstack([u[i], u[j]]))
+        sep, kk = pts[i] - pts[j], kappas[i] * kappas[j]
+        d = np.hypot(sep[:, 0], sep[:, 1])
+        w += (kk * (LOG_COEFF * np.log(d) + hr)).sum()
+        pull = LOG_COEFF * sep / (d * d)[:, None]
+        np.add.at(grad, i, kk[:, None] * (pull + du * dhr[:, :2]))
+        np.add.at(grad, j, kk[:, None] * (du * dhr[:, 2:] - pull))
+        return w, grad
 
-    def H(self, xy: np.ndarray) -> np.ndarray:
-        uv = self._lat(np.atleast_2d(xy))
-        return ndimage.map_coordinates(self._H, uv, order=5, prefilter=False,
-                                       mode="nearest")
 
-    def hreg(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        ux = self._lat(np.atleast_2d(x))
-        uy = self._lat(np.atleast_2d(y))
-        coords = np.vstack([ux, uy])
-        return ndimage.map_coordinates(self._h4, coords, order=5,
-                                       prefilter=False, mode="nearest")
+# cardinal quintic B-spline weights of the nodes floor(u) - 2 .. floor(u) + 3 (rows)
+# as coefficients of 1, t, ..., t^5 (columns), t = u - floor(u); then their d/dt
+_QUINTIC = np.array([[1, -5, 10, -10, 5, -1], [26, -50, 20, 20, -20, 5],
+                     [66, 0, -60, 0, 30, -10], [26, 50, 20, -20, -20, 10],
+                     [1, 5, 10, 10, 5, -5], [0, 0, 0, 0, 0, 1]]) / 120.0
+_WEIGHTS = np.vstack([_QUINTIC, np.pad(_QUINTIC[:, 1:] * range(1, 6), [(0, 0), (0, 1)])]).T
 
-    def values(self, P: np.ndarray, kappas: np.ndarray) -> np.ndarray:
-        """W at each configuration of a stack P of shape (Q, k, 2).
 
-        One `H` call on all Q*k points and one `hreg` call on all pairs;
-        per configuration the sum runs as in a single evaluation (self
-        terms first, then the pairs in (i < j) order), so every member
-        of the stack gets the bits it would get on its own.
-        """
-        q, k = P.shape[:2]
-        w = 0.5 * (kappas ** 2 * self.H(P.reshape(-1, 2)).reshape(q, k)).sum(axis=1)
-        i, j = np.triu_indices(k, 1)
-        x, y = P[:, i].reshape(-1, 2), P[:, j].reshape(-1, 2)
-        d = np.hypot(x[:, 0] - y[:, 0], x[:, 1] - y[:, 1])
-        # libm log, elementwise: np.log differs from it in the last bit
-        logd = np.array([math.log(v) for v in d], dtype=float)
-        g = (-LOG_COEFF * logd - self.hreg(x, y)).reshape(q, i.size)
-        kk = kappas[i] * kappas[j]
-        for p in range(i.size):
-            w -= kk[p] * g[:, p]
-        return w
-
-    def value(self, pts: np.ndarray, kappas: np.ndarray) -> float:
-        return self.values(pts[None], kappas)[0]
-
-    def gradient(self, pts: np.ndarray, kappas: np.ndarray) -> np.ndarray:
-        """Central differences of W, all 4k stencil points in one `values` call."""
-        eps = 1e-5 * self.grid.h * _STRIDE
-        n = pts.size
-        step = eps * np.eye(n).reshape(n, *pts.shape)
-        w = self.values(np.concatenate([pts + step, pts - step]), kappas)
-        return ((w[:n] - w[n:]) / (2 * eps)).reshape(pts.shape)
+def _spline(C: np.ndarray, u: np.ndarray):
+    """Value (n,) and u-gradient (n, d) at points u (n, d) of the quintic spline with
+    `spline_filter` coefficients C, node indices clamped as `mode="nearest"` does."""
+    n, d = u.shape
+    f = np.floor(u)
+    wts = ((u - f)[..., None] ** np.arange(6) @ _WEIGHTS).reshape(n, d, 2, 6)
+    nodes = f.astype(np.intp)[..., None] + np.arange(-2, 4)
+    r = C.take(np.ravel_multi_index(tuple(
+        nodes[:, a].reshape((n,) + (1,) * a + (6,) + (1,) * (d - 1 - a))
+        for a in range(d)), C.shape, mode="clip"))
+    for a in range(d):  # contract node axis a; its value/slope axis goes last
+        r = np.einsum("nk...,njk->n...j", r, wts[:, a])
+    r = r.reshape(n, 2 ** d)
+    return r[:, 0], r[:, 1 << np.arange(d)[::-1]]
 
 
 def pv_evolve(solver: PoissonSolver, cfg: KRConfiguration, T: float, dt: float,
@@ -467,10 +459,11 @@ def pv_evolve(solver: PoissonSolver, cfg: KRConfiguration, T: float, dt: float,
 
     W is the spline surrogate (see module docstring), so the reported
     values measure conservation of the integrated Hamiltonian itself.
-    Each RK stage evaluates the right-hand side with one `H` call and
-    one `hreg` call on the spline tables (see `_KRInterpolant.values`).
-    The trajectory truncates with a note if any vortex leaves the trust
-    margin or two vortices approach below 4h.
+    Each RK stage reads the exact gradient of that surrogate, and each
+    saved W its value, from one evaluator
+    (`_KRInterpolant.value_and_gradient`).  T must span at least half a
+    step.  The trajectory truncates with a note if any vortex leaves the
+    trust margin or two vortices approach below 4h.
 
     For a pair closer than one table stride (8h) the regular part
     h(x, y) is a spline between the table's diagonal, the Robin values
@@ -495,16 +488,18 @@ def pv_evolve(solver: PoissonSolver, cfg: KRConfiguration, T: float, dt: float,
         return True
 
     def rhs(pts):
-        gr = interp.gradient(pts, kap)
+        gr = interp.value_and_gradient(pts, kap)[1]
         return inv * np.column_stack([gr[:, 1], -gr[:, 0]])
 
     steps = int(round(T / dt))
+    if steps < 1:
+        raise ValueError(f"T = {T!r} is shorter than half a step dt = {dt!r}")
     pts = cfg.points.copy()
     if not ok(pts):
         raise ValueError("initial configuration violates the trust margin")
     times = [0.0]
     path = [pts.copy()]
-    vals = [interp.value(pts, kap)]
+    vals = [interp.value_and_gradient(pts, kap)[0]]
     completed, note = True, ""
     for s in range(1, steps + 1):
         k1 = rhs(pts)
@@ -518,6 +513,6 @@ def pv_evolve(solver: PoissonSolver, cfg: KRConfiguration, T: float, dt: float,
         if s % save_stride == 0 or s == steps:
             times.append(s * dt)
             path.append(pts.copy())
-            vals.append(interp.value(pts, kap))
+            vals.append(interp.value_and_gradient(pts, kap)[0])
     return PVTrajectory(times=np.array(times), points=np.array(path),
                         values=np.array(vals), completed=completed, note=note)

@@ -80,6 +80,27 @@ def test_grid_too_coarse(tmp_path, capsys):
     assert "n >= 16" in capsys.readouterr().err
 
 
+def test_single_signed_kr_seed_without_scan_sites(tmp_path, capsys):
+    # a 16 x 16-cell square has no lattice site 6h clear of its boundary
+    cfg = write_cfg(tmp_path, """
+        [domain]
+        kind = rectangle
+        width = 0.25
+        height = 0.25
+        [grid]
+        n = 64
+        [vortex]
+        kappa2 = 0
+        [steady]
+        eps1 = 0.125
+        eps2 = 0
+    """)
+    out = tmp_path / "o"
+    assert run(["steady", "--config", cfg, "--out", str(out)]) == 1
+    assert "domain too small for the scan lattice" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command,text,key", [
     ("sweep", "[sweep]\neps = 0.15\nn = 64\nkr_n = 8\n", "[sweep] kr_n"),
     ("diagnose", "[diagnose]\nn = 8\ninstances = 5\n", "[diagnose] n"),
@@ -135,7 +156,8 @@ def test_evolve_perturbation_range(tmp_path, capsys):
 
 @pytest.mark.parametrize("T, stride, dt, word", [
     ("0.01", "0", "1e-3", "save_stride"), ("0.01", "-5", "1e-3", "save_stride"),
-    ("inf", "1", "1e-3", "finite"), ("0.01", "1", "nan", "finite")])
+    ("inf", "1", "1e-3", "finite"), ("0.01", "1", "nan", "finite"),
+    ("4e-4", "1", "1e-3", "half a step")])
 def test_evolve_pv_bad_inputs(tmp_path, capsys, T, stride, dt, word):
     cfg = write_cfg(tmp_path, f"""
         [grid]
