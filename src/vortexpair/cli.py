@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import json
 import os
 import sys
 from dataclasses import asdict, fields
@@ -29,7 +28,7 @@ from .asymptotics import (SweepPlan, SweepRecord, ascent_check,
                           profile_convergence, run_sweep, signature)
 from .euler import stability_experiment
 from .fields import (hardy_littlewood_suite, lp_norm, riesz_suite,
-                     write_field_text, write_pgm)
+                     write_field_text, write_json, write_pgm)
 from .grid import DomainSpec, build_grid
 from .kirchhoff import KRConfiguration, kr_minimize, pv_evolve
 from .maximizer import RearrangementSpec, maximize
@@ -63,15 +62,6 @@ class _Cfg:
         except (TypeError, ValueError):
             raise ConfigError(
                 f"[{section}] {option}: cannot parse {text!r}") from None
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
 
 
 def _parse_float_list(text: str):
@@ -212,28 +202,6 @@ def _prov_lines(prov: dict):
             f"version={prov['version']}"]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj) if np.isfinite(obj) else None  # strict JSON: no NaN
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cell(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
@@ -283,7 +251,7 @@ def cmd_steady(cfg: _Cfg, outdir: str, seed: int) -> int:
     payload.update(spec=asdict(state.spec), provenance=prov,
                    domain=_domain_dict(solver.grid.domain),
                    grid={"n": solver.grid.n, "h": solver.grid.h}, files=files)
-    _write_json(os.path.join(outdir, "steady.json"), payload)
+    write_json(os.path.join(outdir, "steady.json"), payload)
     return 0 if state.converged else 2
 
 
@@ -343,7 +311,7 @@ def cmd_sweep(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
         "checks": [c.to_dict() for c in checks],
         "all_pass": all_pass,
     }
-    _write_json(os.path.join(outdir, "verdict.json"), verdict)
+    write_json(os.path.join(outdir, "verdict.json"), verdict)
     return 0 if all_pass else 2
 
 
@@ -363,7 +331,7 @@ def cmd_krmin(cfg: _Cfg, outdir: str, seed: int) -> int:
     payload = asdict(res)
     payload.update(provenance=prov, domain=_domain_dict(dom), kappas=[k1, k2],
                    signature=signature(res.points[0], res.points[1], dom))
-    _write_json(os.path.join(outdir, "krmin.json"), payload)
+    write_json(os.path.join(outdir, "krmin.json"), payload)
     return 0
 
 
@@ -439,7 +407,7 @@ def cmd_diagnose(cfg: _Cfg, outdir: str, seed: int) -> int:
                                  threshold=2.0),
         "all_pass": hl.passed and rz.passed and growth_ok,
     }
-    _write_json(os.path.join(outdir, "diagnose.json"), payload)
+    write_json(os.path.join(outdir, "diagnose.json"), payload)
     return 0 if payload["all_pass"] else 2
 
 

@@ -51,44 +51,14 @@ def _cell_coords(grid, px, py):
     return i0, j0, gx - i0, gy - j0
 
 
-# width of a sampling image's zero ring.  A base index clipped into
-# [1 - _PAD, n + _PAD - 3] keeps the four cubic nodes (-1..2) inside the
-# image, and a base that was clipped reads only the ring; 4 is the
-# narrowest width for which both hold.
-_PAD = 4
-
-
-def _sampling_image(grid, values):
-    """Flat box image of `values` inside a zero ring _PAD cells wide."""
-    img = np.zeros((grid.ny + 2 * _PAD, grid.nx + 2 * _PAD))
-    img[grid.cell_iy + _PAD, grid.cell_ix + _PAD] = values
-    return img.ravel()
-
-
-def _stencil_base(grid, px, py):
-    """Flat sampling-image index of each point's lower-left node, offsets in [0, 1).
-
-    A point whose stencil lies wholly off the box has its base clipped
-    to one that reads only the fill ring, so every node of every
-    stencil is one gather at base + a constant offset.
-    """
-    i0, j0, tx, ty = _cell_coords(grid, px, py)
-    np.clip(i0, 1 - _PAD, grid.nx + _PAD - 3, out=i0)
-    np.clip(j0, 1 - _PAD, grid.ny + _PAD - 3, out=j0)
-    return (j0 + _PAD) * (grid.nx + 2 * _PAD) + i0 + _PAD, tx, ty
-
-
-def _offset(grid, di, dj):
-    return dj * (grid.nx + 2 * _PAD) + di
-
-
 def _bilinear_box(grid, images, px, py):
-    """Bilinear samples of every sampling image in `images` at the points (0 outside)."""
-    base, tx, ty = _stencil_base(grid, px, py)
+    """Bilinear samples of every ring image in `images` at the points (0 outside)."""
+    i0, j0, tx, ty = _cell_coords(grid, px, py)
+    base = grid.ring_base(i0, j0)
     outs = [np.zeros(px.shape) for _ in images]
     for di, dj, w in ((0, 0, (1 - tx) * (1 - ty)), (1, 0, tx * (1 - ty)),
                       (0, 1, (1 - tx) * ty), (1, 1, tx * ty)):
-        idx = base + _offset(grid, di, dj)
+        idx = base + (dj * grid.ring_stride + di)
         for out, img in zip(outs, images):
             out += w * np.take(img, idx)
     return outs
@@ -106,14 +76,15 @@ def _cubic_weights(t):
 
 
 def _cubic_box(grid, img, px, py):
-    """Cubic sampling of a sampling image (0 outside), clamped to the bilinear bounds.
+    """Cubic sampling of a ring image (0 outside), clamped to the bilinear bounds.
 
     The clamp keeps each value inside the min/max of the four nearest
     nodes, so the scheme cannot manufacture new extrema; without it the
     cubic overshoots at the patch edge and the blow-up guard becomes
     meaningless.
     """
-    base, tx, ty = _stencil_base(grid, px, py)
+    i0, j0, tx, ty = _cell_coords(grid, px, py)
+    base = grid.ring_base(i0, j0)
     wx = _cubic_weights(tx)
     wy = _cubic_weights(ty)
     out = np.zeros(px.shape)
@@ -121,7 +92,7 @@ def _cubic_box(grid, img, px, py):
     hi = np.full(px.shape, -np.inf)
     for a, di in enumerate(_CUBIC_OFFS):
         for b, dj in enumerate(_CUBIC_OFFS):
-            vals = np.take(img, base + _offset(grid, di, dj))
+            vals = np.take(img, base + (dj * grid.ring_stride + di))
             out += wx[a] * wy[b] * vals
             if di in (0, 1) and dj in (0, 1):
                 lo = np.minimum(lo, vals)
@@ -158,8 +129,8 @@ def _advance(g, state, v, dt):
     if vmax > 0 and dt > 4.0 * g.h / vmax:
         raise ValueError(
             f"dt violates the CFL bound: use dt <= {4.0 * g.h / vmax:.6g}")
-    px, py = _trace_feet(g, (_sampling_image(g, v.u1), _sampling_image(g, v.u2)), dt)
-    new = _cubic_box(g, _sampling_image(g, state.omega.values), px, py)
+    px, py = _trace_feet(g, (g.ring_image(v.u1), g.ring_image(v.u2)), dt)
+    new = _cubic_box(g, g.ring_image(state.omega.values), px, py)
     return EulerState(ScalarField(g, new), state.t + dt)
 
 
@@ -210,7 +181,7 @@ def _orbit_metric(grid, zeta_vals, angles, p, h2p, znorm):
     """
     ring = _support_annulus(grid, zeta_vals)
     xy = grid.cells_xy[ring]
-    img = _sampling_image(grid, zeta_vals)
+    img = grid.ring_image(zeta_vals)
     coarse = np.empty((angles, xy.shape[0]))
     for k in range(angles):
         coarse[k] = _rotate_once(grid, img, xy, 2.0 * math.pi * k / angles)

@@ -20,7 +20,7 @@ __all__ = [
     "ScalarField", "VectorField", "positive_part", "negative_part",
     "lp_norm", "center_of_mass", "support_diameter",
     "symmetric_decreasing_rearrangement", "rescale_profile",
-    "write_field_text", "read_field_text", "write_pgm",
+    "write_field_text", "read_field_text", "write_pgm", "write_json",
     "SuiteOutcome", "hardy_littlewood_suite", "riesz_suite",
 ]
 
@@ -37,10 +37,6 @@ class ScalarField:
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
-
-    @staticmethod
-    def zeros(grid: Grid) -> "ScalarField":
-        return ScalarField(grid, np.zeros(grid.ncells))
 
 
 @dataclass
@@ -151,9 +147,7 @@ def rescale_profile(f: ScalarField, eps: float, center) -> ScalarField:
     plane = plane_grid(hp, max(int(math.ceil(2.0 / hp)), 1))
     px = plane.cells_xy[:, 0] * eps + center[0]
     py = plane.cells_xy[:, 1] * eps + center[1]
-    ids = g.locate(px, py)
-    vals = np.where(ids >= 0, f.values[ids.clip(0)], 0.0) * eps * eps
-    return ScalarField(plane, vals)
+    return ScalarField(plane, g.read_at(g.ring_image(f.values), px, py) * eps * eps)
 
 
 # -- plain-text and image dumps ------------------------------------------
@@ -212,8 +206,29 @@ def write_pgm(f: ScalarField, path, extra=None) -> None:
             "h": g.h, "exterior": 0.0}
     if extra:
         side.update(extra)
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(side, fh, indent=2, sort_keys=True)
+    write_json(str(path) + ".json", side)
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        return float(obj) if np.isfinite(obj) else None  # strict JSON: no NaN
+    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+def write_json(path, payload: dict) -> None:
+    """Strict JSON (non-finite floats as null), sorted keys, indent 2, LF line ends."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -189,6 +189,13 @@ def _polygon_edge_distance(verts, x, y):
     return best
 
 
+# width of a ring image's fill ring.  A base index clipped into
+# [1 - RING, n + RING - 3] keeps the four cubic nodes (-1..2) inside the
+# image, and a base that was clipped reads only the ring; 4 is the
+# narrowest width for which both hold.
+RING = 4
+
+
 class Grid:
     """Flat view of the interior cells of a masked box grid.
 
@@ -197,7 +204,9 @@ class Grid:
     h : cell width
     nx, ny : bounding-box cell counts
     x0, y0 : lower-left corner of the box
-    index : (ny, nx) int array, -1 outside, else flat cell id
+    index : (ny, nx) int array, -1 outside, else flat cell id; a view
+        into the ring image of the ids
+    ring_stride : row length of a ring image, nx + 2 RING
     cells_xy : (ncells, 2) cell-center coordinates, row-major (y, x) order
     neighbors : (ncells, 4) flat ids of (left, right, down, up), -1 missing
     """
@@ -208,15 +217,14 @@ class Grid:
         self.n = n
         self.x0, self.y0 = float(x0), float(y0)
         self.nx, self.ny = int(nx), int(ny)
-        self.mask = mask
+        self.ring_stride = self.nx + 2 * RING
 
-        index = np.full((ny, nx), -1, dtype=np.int64)
         iy, ix = np.nonzero(mask)  # nonzero is row-major, so ids follow (y, x)
-        index[iy, ix] = np.arange(iy.size)
-        self.index = index
         self.ncells = int(iy.size)
         self.cell_ix = ix
         self.cell_iy = iy
+        self._ids = self.ring_image(np.arange(self.ncells), -1)
+        self.index = self._ids.reshape(-1, self.ring_stride)[RING:-RING, RING:-RING]
         cx = x0 + (ix + 0.5) * self.h
         cy = y0 + (iy + 0.5) * self.h
         self.cells_xy = np.column_stack([cx, cy])
@@ -225,14 +233,12 @@ class Grid:
     def compass(self, cells, step: int = 2) -> np.ndarray:
         """Flat ids `step` cells (left, right, down, up) of `cells`; -1 off the mask.
 
-        Shape `cells.shape + (4,)`.
+        Shape `cells.shape + (4,)`; `step` is at most RING.
         """
         cells = np.asarray(cells)
-        ix, iy = self.cell_ix[cells], self.cell_iy[cells]
-        out = np.empty(cells.shape + (4,), dtype=np.int64)
-        for k, (dx, dy) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
-            out[..., k] = self.box_read(self.index, ix + step * dx, iy + step * dy, -1)
-        return out
+        base = self.ring_base(self.cell_ix[cells], self.cell_iy[cells])
+        w = self.ring_stride
+        return np.take(self._ids, base[..., None] + [-step, step, -step * w, step * w])
 
     @property
     def cell_area(self) -> float:
@@ -240,23 +246,37 @@ class Grid:
 
     def locate(self, x, y):
         """Flat cell ids containing the given points; -1 when outside."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        ix = np.floor((x - self.x0) / self.h).astype(np.int64)
-        iy = np.floor((y - self.y0) / self.h).astype(np.int64)
-        return self.box_read(self.index, ix, iy, -1)
+        return self.read_at(self._ids, x, y)
 
-    def box_image(self, values, fill=0.0):
-        """Scatter a flat cell array onto the (ny, nx) bounding box."""
-        img = np.full((self.ny, self.nx), fill, dtype=float)
+    def read_at(self, img, x, y):
+        """Ring image `img` at the cells containing the points; off the box, its fill."""
+        ix = np.floor((np.asarray(x, dtype=float) - self.x0) / self.h).astype(np.int64)
+        iy = np.floor((np.asarray(y, dtype=float) - self.y0) / self.h).astype(np.int64)
+        return np.take(img, self.ring_base(ix, iy))
+
+    def box_image(self, values):
+        """Scatter a flat cell array onto the (ny, nx) bounding box, 0 outside."""
+        img = np.zeros((self.ny, self.nx))
         img[self.cell_iy, self.cell_ix] = values
         return img
 
-    def box_read(self, img, ix, iy, fill=0.0):
-        """img[iy, ix] for box indices inside the (ny, nx) box, `fill` outside."""
-        ok = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
-        # one flat gather: cheaper than 2-d fancy indexing on clipped pairs
-        return np.where(ok, np.take(img, np.where(ok, iy * self.nx + ix, 0)), fill)
+    def ring_image(self, values, fill=0.0):
+        """Flat box image of a cell array: `fill` off the mask and in a ring RING cells wide."""
+        img = np.full((self.ny + 2 * RING, self.ring_stride), fill,
+                      dtype=np.result_type(values, fill))
+        img[self.cell_iy + RING, self.cell_ix + RING] = values
+        return img.ravel()
+
+    def ring_base(self, ix, iy):
+        """Ring-image index of box indices (ix, iy), clipped into [1 - RING, n + RING - 3].
+
+        A clipped index was off the box and stays off it: the node there,
+        and every node -1..2 cells from it along either axis, lies in the
+        fill ring, so a read past the ring gives the fill.
+        """
+        ix = np.clip(ix, 1 - RING, self.nx + RING - 3)
+        iy = np.clip(iy, 1 - RING, self.ny + RING - 3)
+        return (iy + RING) * self.ring_stride + ix + RING
 
 
 def build_grid(domain: DomainSpec, n: int) -> Grid:

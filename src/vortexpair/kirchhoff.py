@@ -280,7 +280,12 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
     evaluations snapped to cells) polishes the best `starts` of them,
     and a final per-coordinate parabolic fit interpolates the minimum
     below cell resolution.  Deterministic for a fixed grid and stride.
+    `margin_h` must be >= 6, the clearance of the descent's gradient
+    stencil (`kr_gradient`); below it every start would stop unpolished.
     """
+    if not margin_h >= 6:
+        raise ValueError("margin_h must be >= 6 cells, the gradient stencil's "
+                         f"clearance (got {margin_h!r})")
     kappas = np.asarray(kappas, dtype=float)
     if kappas.shape != (2,) or not (np.inf > kappas[0] > 0 > kappas[1] > -np.inf):
         raise ValueError("kr_minimize expects finite strengths (positive, negative)")

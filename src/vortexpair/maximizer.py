@@ -211,14 +211,6 @@ class SteadyState:
     monotone_violations: int
     note: str = ""
 
-    @property
-    def core_pos(self) -> np.ndarray:
-        return np.nonzero(self.zeta.values > 0)[0]
-
-    @property
-    def core_neg(self) -> np.ndarray:
-        return np.nonzero(self.zeta.values < 0)[0]
-
 
 def _seed_field(solver: PoissonSolver, proto: Prototype, init):
     g = solver.grid

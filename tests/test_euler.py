@@ -168,13 +168,13 @@ def test_rotations_vanish_off_the_support_annulus(seed, th, r0, width):
     vals = np.where(on, rng.normal(size=g.ncells), 0.0)
     ring = euler._support_annulus(g, vals)
     assert ring[vals != 0].all()
-    rot = euler._rotate_once(g, euler._sampling_image(g, vals), g.cells_xy, th)
+    rot = euler._rotate_once(g, g.ring_image(vals), g.cells_xy, th)
     assert np.all(rot[~ring] == 0.0)
 
 
 def _orbit_distance_reference(grid, zeta_vals, angles, vals, p, znorm):
     """Coarse rotations on the whole grid, then the golden refine."""
-    img = euler._sampling_image(grid, zeta_vals)
+    img = grid.ring_image(zeta_vals)
     xy = grid.cells_xy
     coarse = np.array([euler._rotate_once(grid, img, xy, 2.0 * math.pi * k / angles)
                        for k in range(angles)])
@@ -215,7 +215,7 @@ def test_annulus_orbit_distance_matches_full_grid(pair_state_96, th, noise, p):
     rng = np.random.default_rng(7)
     # a rotated copy of zeta plus noise spread over the whole disk, so
     # the part off the annulus is not zero
-    vals = euler._rotate_once(g, euler._sampling_image(g, zeta), g.cells_xy, th)
+    vals = euler._rotate_once(g, g.ring_image(zeta), g.cells_xy, th)
     vals = vals + noise * np.abs(zeta).max() * rng.normal(size=g.ncells)
     got = euler._orbit_metric(g, zeta, 36, p, g.cell_area, znorm)(vals)
     ref = _orbit_distance_reference(g, zeta, 36, vals, p, znorm)
@@ -244,9 +244,9 @@ def test_bilinear_gather_matches_one_call_per_box(seed, nboxes):
     g = _G48
     rng = np.random.default_rng(seed)
     values = [rng.normal(size=g.ncells) for _ in range(nboxes)]
-    images = tuple(euler._sampling_image(g, v) for v in values)
+    images = tuple(g.ring_image(v) for v in values)
     # points inside, near and up to 12 cells beyond the box edge, well past
-    # the sampling image's fill ring, some exactly on cell centers
+    # the ring image's fill ring, some exactly on cell centers
     px = rng.uniform(g.x0 - 12 * g.h, g.x0 + (g.nx + 12) * g.h, 400)
     py = rng.uniform(g.y0 - 12 * g.h, g.y0 + (g.ny + 12) * g.h, 400)
     px[:20], py[:20] = g.cells_xy[:20, 0], g.cells_xy[:20, 1]
@@ -286,9 +286,9 @@ def test_cubic_sampler_matches_padded_reference(seed):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=g.ncells)
     # points inside, near and up to 12 cells beyond the box edge, well past
-    # the sampling image's fill ring
+    # the ring image's fill ring
     px = rng.uniform(g.x0 - 12 * g.h, g.x0 + (g.nx + 12) * g.h, 400)
     py = rng.uniform(g.y0 - 12 * g.h, g.y0 + (g.ny + 12) * g.h, 400)
     px[:20], py[:20] = g.cells_xy[:20, 0], g.cells_xy[:20, 1]
-    got = euler._cubic_box(g, euler._sampling_image(g, values), px, py)
+    got = euler._cubic_box(g, g.ring_image(values), px, py)
     assert np.array_equal(got, _cubic_padded_reference(g, values, px, py))

@@ -215,6 +215,15 @@ def test_pgm_output(tmp_path, disk32):
     assert side["max"] >= side["min"]
 
 
+def test_pgm_sidecar_is_strict_json(tmp_path, disk32):
+    vp.write_pgm(centered_patch(disk32, 0.4), tmp_path / "f.pgm",
+                 extra={"residual": float("nan"), "n": np.int64(32)})
+    raw = (tmp_path / "f.pgm.json").read_bytes()
+    assert raw.endswith(b"}\n") and b"\r" not in raw
+    side = json.loads(raw, parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
+    assert side["residual"] is None and side["n"] == 32
+
+
 def test_pgm_antisymmetric_bytes_survive_last_bit_moves(tmp_path, disk32):
     # an odd field: min = -max, so the zero exterior sits at t = 1/2
     x, y = disk32.cells_xy[:, 0], disk32.cells_xy[:, 1]

@@ -205,7 +205,7 @@ def test_array_geometry_matches_per_point_reference(which, free, edge_count):
     assert np.array_equal(dom.contains(x[:, None], y[:, None])[:, 0], inside)
 
 
-# -- masked box read and random-disk draw -----------------------------------
+# -- fill-ringed box reads and random-disk draw ----------------------------
 
 _BOX_GRIDS = [vp.build_grid(dom, 16) for dom in _DOMAINS[:3]]
 
@@ -213,20 +213,56 @@ _BOX_GRIDS = [vp.build_grid(dom, 16) for dom in _DOMAINS[:3]]
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(range(len(_BOX_GRIDS))), st.integers(0, 2**32 - 1),
        st.sampled_from([0.0, -1.0, 2.5]))
-def test_box_read_matches_fill_padded_copy(which, seed, fill):
+def test_ring_read_matches_fill_padded_copy(which, seed, fill):
     g = _BOX_GRIDS[which]
     rng = np.random.default_rng(seed)
-    img = rng.normal(size=(g.ny, g.nx))
-    pad = np.full((g.ny + 6, g.nx + 6), fill)
-    pad[3:-3, 3:-3] = img
-    # indices up to 3 cells outside the box on every side
-    ix = rng.integers(-3, g.nx + 3, size=(7, 5))
-    iy = rng.integers(-3, g.ny + 3, size=(7, 5))
-    ix[0, :4] = (-3, -1, g.nx - 1, g.nx + 2)
-    iy[0, :4] = (g.ny + 2, 0, -1, g.ny - 1)
-    out = g.box_read(img, ix, iy, fill)
-    assert out.shape == ix.shape
-    assert np.array_equal(out, pad[iy + 3, ix + 3])
+    values = rng.normal(size=g.ncells)
+    pad = np.full((g.ny + 28, g.nx + 28), fill)
+    pad[g.cell_iy + 14, g.cell_ix + 14] = values
+    # indices up to 12 cells outside the box on every side, past the ring
+    ix = rng.integers(-12, g.nx + 12, size=(7, 5))
+    iy = rng.integers(-12, g.ny + 12, size=(7, 5))
+    ix[0, :4] = (-12, -1, g.nx - 1, g.nx + 11)
+    iy[0, :4] = (g.ny + 11, 0, -1, g.ny - 1)
+    img = g.ring_image(values, fill)
+    base = g.ring_base(ix, iy)
+    assert base.shape == ix.shape
+    # every node of a cubic stencil reads what the padded copy holds there
+    for di in (-1, 0, 1, 2):
+        for dj in (-1, 0, 1, 2):
+            out = np.take(img, base + dj * g.ring_stride + di)
+            assert np.array_equal(out, pad[iy + dj + 14, ix + di + 14])
+
+
+def _masked_read(g, ix, iy):
+    """g.index at box indices (ix, iy), -1 outside the box: the masked reference."""
+    ok = (ix >= 0) & (ix < g.nx) & (iy >= 0) & (iy < g.ny)
+    return np.where(ok, g.index[iy.clip(0, g.ny - 1), ix.clip(0, g.nx - 1)], -1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(range(len(_BOX_GRIDS))), st.integers(0, 2**32 - 1))
+def test_compass_and_locate_match_masked_reference(which, seed):
+    g = _BOX_GRIDS[which]
+    rng = np.random.default_rng(seed)
+    cells = np.arange(g.ncells)
+    for step in (1, 2):
+        ref = np.stack([_masked_read(g, g.cell_ix + step * dx, g.cell_iy + step * dy)
+                        for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1))], axis=-1)
+        assert np.array_equal(g.compass(cells, step), ref)
+        assert step == 2 or np.array_equal(g.neighbors, ref)
+        # a 2-d cell array keeps its shape
+        some = rng.integers(0, g.ncells, size=(6, 7))
+        assert np.array_equal(g.compass(some, step), ref[some])
+    # points up to 50 cells outside the box, and every cell center
+    x = rng.uniform(g.x0 - 50 * g.h, g.x0 + (g.nx + 50) * g.h, 2000)
+    y = rng.uniform(g.y0 - 50 * g.h, g.y0 + (g.ny + 50) * g.h, 2000)
+    x, y = np.r_[x, g.cells_xy[:, 0]], np.r_[y, g.cells_xy[:, 1]]
+    jx = np.floor((x - g.x0) / g.h).astype(np.int64)
+    jy = np.floor((y - g.y0) / g.h).astype(np.int64)
+    assert np.array_equal(g.locate(x, y), _masked_read(g, jx, jy))
+    # the index is a view of the ids' ring image, not a second copy
+    assert np.shares_memory(g.index, g._ids)
 
 
 def _old_draw(dom, rng, radius, admit, tries):

@@ -487,6 +487,15 @@ def test_scan_margin_floor(disk64, margin_h):
         kirchhoff.robin_scan_center(disk64, margin_h=margin_h)
 
 
+@pytest.mark.parametrize("margin_h", [2.5, 3.0, 5.99])
+def test_kr_minimize_margin_covers_gradient_stencil(disk64, margin_h):
+    # the descent's gradient needs 6h of clearance; below that every start
+    # would stop on its first iteration, unpolished
+    with pytest.raises(ValueError, match="margin_h must be >= 6"):
+        vp.kr_minimize(disk64, (1.0, -1.0), margin_h=margin_h)
+    kirchhoff.robin_scan_center(disk64, margin_h=margin_h)  # the scan keeps > 2
+
+
 _SCAN_DOMAINS = [
     (vp.DomainSpec.unit_disk(), 48),
     (vp.DomainSpec.unit_disk(), 64),

@@ -18,7 +18,9 @@ it, the line where that occurs, the worst absolute difference and the
 number of differing lines; binary files (the PGM previews) are compared
 byte by byte.  Lines matching `--skip REGEX` (say `solver_tol`) are left
 out of the numbers.  Exit-code changes, files present on one side only
-and text that differs in more than its numbers are listed too.
+and text that differs in more than its numbers are listed too.  With
+`--against` the script exits 1 when any file or exit code differs from
+DIR's, so it can gate a change; otherwise it exits 0.
 
 The whole set takes about a minute and a half on two cores.
 """
@@ -298,15 +300,18 @@ def main(argv=None) -> int:
     ap.add_argument("--skip", type=re.compile, default=None,
                     help="with --against: leave lines matching this regex out")
     args = ap.parse_args(argv)
+    differs = False
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) if args.out is None else args.out.resolve()
         lines = run_all(args.src.resolve(), root)
         if args.out is not None:
             (root / "digest.txt").write_text("\n".join(lines) + "\n")
         if args.against is not None:
-            lines += compare(root, args.against.resolve(), lines, args.skip)
+            diff = compare(root, args.against.resolve(), lines, args.skip)
+            differs = diff[1:] != ["no file differs"]
+            lines += diff
     print("\n".join(lines))
-    return 0
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
