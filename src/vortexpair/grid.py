@@ -254,6 +254,16 @@ class Grid:
         iy = np.floor((np.asarray(y, dtype=float) - self.y0) / self.h).astype(np.int64)
         return np.take(img, self.ring_base(ix, iy))
 
+    def square_cells(self, center, half: float) -> np.ndarray:
+        """Flat ids, ascending, of the cells whose centers lie within `half`
+        of `center` along both axes, and of a one-cell rim around them."""
+        c = np.asarray(center, dtype=float)
+        origin = np.array([self.x0, self.y0])
+        lo = (np.floor((c - half - origin) / self.h).astype(np.int64) - 1).clip(0)
+        hi = (np.floor((c + half - origin) / self.h).astype(np.int64) + 2).clip(0)
+        ids = self.index[lo[1]:hi[1], lo[0]:hi[0]].ravel()
+        return ids[ids >= 0]
+
     def box_image(self, values):
         """Scatter a flat cell array onto the (ny, nx) bounding box, 0 outside."""
         img = np.zeros((self.ny, self.nx))

@@ -6,7 +6,9 @@ leaves the mask simply contributes nothing.  A solve is one triangular
 solve pair against the sparse LU factorization of the grid (cached on
 the solver), checked against RESIDUAL_TOL; everything downstream (energy
 monotonicity of the ascent iteration, Green-function symmetry) leans on
-that accuracy.
+that accuracy.  A block of right-hand sides, such as the unit charges of
+`green_function` on an array of cells, is one LU call whose columns are
+each checked the same way.
 
 Conventions: G(x, y) solves -Laplace G = delta_y with G = 0 on the
 boundary; the regular part is h(x, y) = -(1/2pi) ln|x-y| - G(x, y) and
@@ -55,9 +57,11 @@ class SolveError(RuntimeError):
 class PoissonSolver:
     """Factorized inverse of the masked 5-point Dirichlet Laplacian.
 
-    Each solve is one LU solve.  It raises SolveError when the residual
-    exceeds RESIDUAL_TOL relative to the right-hand side in the infinity
-    norm, or is NaN; a non-finite right-hand side is a ValueError.
+    Each solve is one LU solve, of one right-hand side (ncells,) or of a
+    block (ncells, m) at once.  It raises SolveError when the residual of
+    some column exceeds RESIDUAL_TOL relative to that column in the
+    infinity norm, or is NaN; a non-finite right-hand side is a
+    ValueError.  `solve_count` counts columns.
     """
 
     def __init__(self, grid: Grid):
@@ -95,21 +99,24 @@ class PoissonSolver:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.grid.ncells,):
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.grid.ncells:
             raise ValueError("rhs length does not match grid")
-        scale = np.abs(rhs).max()
-        if not np.isfinite(scale):
+        cols = rhs.reshape(rhs.shape[0], -1).T  # one row per right-hand side
+        scale = np.abs(cols).max(axis=1)
+        if not np.isfinite(scale).all():
             raise ValueError("rhs is not finite")
-        if scale == 0.0:
+        if not scale.any():
             return np.zeros_like(rhs)
         with self._lock:
             x = self._factor().solve(rhs)
-            self.solve_count += 1
-        res = np.abs(rhs - self.matrix @ x).max()
-        if not res <= RESIDUAL_TOL * scale:  # NaN fails too
-            raise SolveError(
-                f"poisson solve inaccurate: residual {res:.3e} vs rhs scale {scale:.3e}"
-            )
+            self.solve_count += len(cols)
+        # column by column: a block's residual needs no block-sized temporaries
+        for b, y, s in zip(cols, x.reshape(x.shape[0], -1).T, scale):
+            res = np.abs(b - self.matrix @ y).max()
+            if not res <= RESIDUAL_TOL * s:  # NaN fails too
+                raise SolveError(
+                    f"poisson solve inaccurate: residual {res:.3e} vs rhs scale {s:.3e}"
+                )
         return x
 
 
@@ -132,16 +139,26 @@ def _source_cell(solver: PoissonSolver, y) -> int:
     return cid
 
 
-def green_function(solver: PoissonSolver, y) -> ScalarField:
+def green_function(solver: PoissonSolver, y):
     """Sampled Green function G(., y): solve against a unit cell charge.
 
     `y` may be a point or a flat cell id; the charge is 1/h^2 on that
-    cell, so the field integrates to one.
+    cell, so the field integrates to one.  A 1-D integer array of cell
+    ids is solved as one block, one charge per column, and gives a list
+    of fields, one per id.
     """
+    g = solver.grid
+    if isinstance(y, np.ndarray) and y.ndim == 1 and y.dtype.kind in "iu":
+        if y.size and not (0 <= y.min() and y.max() < g.ncells):
+            raise ValueError("source cell outside domain")
+        rhs = np.zeros((g.ncells, y.size))
+        rhs[y, np.arange(y.size)] = 1.0 / g.cell_area
+        x = solver.solve(rhs)
+        return [ScalarField(g, x[:, j]) for j in range(y.size)]
     cid = _source_cell(solver, y)
-    rhs = np.zeros(solver.grid.ncells)
-    rhs[cid] = 1.0 / solver.grid.cell_area
-    return ScalarField(solver.grid, solver.solve(rhs))
+    rhs = np.zeros(g.ncells)
+    rhs[cid] = 1.0 / g.cell_area
+    return ScalarField(g, solver.solve(rhs))
 
 
 def regular_part(solver: PoissonSolver, x, y) -> float:
@@ -156,15 +173,16 @@ def regular_part(solver: PoissonSolver, x, y) -> float:
     return -LOG_COEFF * math.log(dist) - Gxy
 
 
-def robin_solve(solver: PoissonSolver, cid: int):
-    """One unit-charge solve at cell `cid` and the Robin value read from it.
+def robin_solve(solver: PoissonSolver, cells: np.ndarray):
+    """One block of unit-charge solves at `cells` and the Robin values read from them.
 
-    H is read at the charge's own cell, H(x) = -G_h(x, x) - (1/2pi) ln h
-    + LATTICE_ROBIN, so any mask cell can be solved.  Returns
-    (H, G(., x) values).
+    H is read at each charge's own cell, H(x) = -G_h(x, x) - (1/2pi) ln h
+    + LATTICE_ROBIN, so any mask cell can be solved.  Returns (H array,
+    list of G(., x) value arrays), one entry per cell.
     """
-    gf = green_function(solver, cid).values
-    return -gf[cid] - LOG_COEFF * math.log(solver.grid.h) + LATTICE_ROBIN, gf
+    gfs = [f.values for f in green_function(solver, cells)]
+    diag = np.array([gf[c] for gf, c in zip(gfs, cells)])
+    return -diag - LOG_COEFF * math.log(solver.grid.h) + LATTICE_ROBIN, gfs
 
 
 def robin(solver: PoissonSolver, x) -> float:
@@ -178,7 +196,7 @@ def robin(solver: PoissonSolver, x) -> float:
     cid = _source_cell(solver, x)
     if g.domain.boundary_distance(*g.cells_xy[cid]) < 4.0 * g.h:
         raise ValueError("robin near boundary unreliable")
-    return float(robin_solve(solver, cid)[0])
+    return float(robin_solve(solver, np.array([cid]))[0][0])
 
 
 def velocity(solver: PoissonSolver, psi: ScalarField) -> VectorField:

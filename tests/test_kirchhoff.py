@@ -13,7 +13,9 @@ from scipy import ndimage
 
 import vortexpair as vp
 from vortexpair import kirchhoff
-from vortexpair.poisson import LOG_COEFF
+from vortexpair.poisson import LOG_COEFF, robin_solve
+
+from conftest import counting_solver
 
 D_STAR = np.sqrt(np.sqrt(5.0) - 2.0)  # root of d^4 + 4 d^2 - 1 = 0
 
@@ -370,6 +372,29 @@ def test_store_shared_by_threads():
     for (t, i), w in results.items():
         assert w == pytest.approx(expect[i], rel=1e-12, abs=0.0)
     assert len(results) == 6 * len(pairs)
+
+
+def test_store_solves_new_cells_in_blocks():
+    # 20 new cells (one repeated, one already solved) are 3 block solves of
+    # at most 8 unit charges; each row matches the cell's single solve
+    solver, lu = counting_solver(_G64)
+    store = kirchhoff._store(solver)
+    first = _INTERIOR[0]
+    store.rows(solver, [first])
+    cells = [first] + _INTERIOR[100:120:2] + [_INTERIOR[100]] + _INTERIOR[200:220:2]
+    before = len(lu.outs)
+    rows = store.rows(solver, cells)
+    assert len(lu.outs) - before == 3  # ceil(20 / 8)
+    assert solver.solve_count == 21 and store.size == 21
+    assert [lu.outs[-1].shape[1], lu.outs[-2].shape[1]] == [4, 8]
+    assert list(store.cells[rows]) == cells
+    ref = vp.PoissonSolver(_G64)
+    for k in (0, 5, 12, 20):
+        H, (gf,) = robin_solve(ref, np.array([store.cells[k]]))
+        assert abs(store.H[k] - H[0]) <= 1e-15 * abs(H[0])
+        got = store.G[k, :k]
+        want = gf[store.cells[:k]]
+        assert np.abs(got - want).max(initial=0.0) <= 1e-15 * np.abs(gf).max()
 
 
 # -- one W evaluator on the Green store --------------------------------------

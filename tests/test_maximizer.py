@@ -342,6 +342,61 @@ def test_steadiness_residual_large_on_nonsteady(disk96):
     assert res >= 0.02
 
 
+def _residual_on_full_grid(solver, zeta, count, seed):
+    # steadiness_residual with every cone built on all cells of the grid
+    g = solver.grid
+    v = vp.velocity(solver, vp.solve_poisson(solver, zeta))
+    vmax = float(v.magnitude().max())
+    z1 = vp.lp_norm(zeta, 1)
+    support_xy = g.cells_xy[zeta.values != 0.0]
+    rng = np.random.default_rng(seed)
+
+    def overlaps(c, r):
+        return np.hypot(support_xy[:, 0] - c[0], support_xy[:, 1] - c[1]).min() < r
+
+    worst = 0.0
+    for _ in range(count):
+        c, r = g.domain.draw_disk(rng, (0.1, 0.3), "test bumps", accept=overlaps)
+        phi, gx, gy = vp.cone_test_function(g, c, r)
+        gmax = float(np.hypot(gx, gy).max())
+        if gmax == 0.0:
+            continue
+        resid = abs(float((zeta.values * (v.u1 * gx + v.u2 * gy)).sum()) * g.cell_area)
+        worst = max(worst, resid / (z1 * gmax * vmax))
+    return worst
+
+
+@pytest.mark.parametrize("domain", ["disk", "rectangle"])
+def test_residual_matches_cones_on_full_grid(domain):
+    spec = (vp.DomainSpec.unit_disk() if domain == "disk"
+            else vp.DomainSpec.rectangle(1.3, 1.0))
+    solver = vp.PoissonSolver(vp.build_grid(spec, 64))
+    g = solver.grid
+    rs = vp.RearrangementSpec(eps1=0.15, eps2=0.13, kappa1=1.0, kappa2=-1.0)
+    c = g.domain.centroid()
+    z = vp.place_prototype(g, vp.make_prototype(rs, g), (c[0] + 0.3, c[1] + 0.05),
+                           (c[0] - 0.25, c[1] - 0.1))
+    psi = vp.solve_poisson(solver, z)
+    for seed, count in ((0, 1), (1, 7), (5, 30), (11, 64)):
+        got = vp.steadiness_residual(solver, z, psi, count=count, seed=seed)
+        assert got == _residual_on_full_grid(solver, z, count, seed) > 0.0
+
+
+def test_square_cells_hold_every_cone_cell(disk96):
+    g = disk96.grid
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        c, r = rng.uniform(-0.6, 0.6, 2), rng.uniform(0.1, 0.3)
+        cells = g.square_cells(c, r)
+        assert np.all(np.diff(cells) > 0)
+        phi, gx, gy = vp.cone_test_function(g, c, r, cells=cells)
+        full = vp.cone_test_function(g, c, r)
+        for part, whole in zip((phi, gx, gy), full):
+            assert np.array_equal(part, whole[cells])
+            rest = np.delete(whole, cells)
+            assert not np.any(rest)
+
+
 def test_h2_norm_identity(disk96):
     # uniform patch: ||z+||_p has the closed form
     # kappa * (pi eps^2)^(1/p - 1), up to cell quantization

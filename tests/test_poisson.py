@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vortexpair as vp
-from conftest import centered_patch
+from conftest import CountingLU, centered_patch, counting_solver
 
 
 def test_zero_source(disk64):
@@ -263,23 +263,8 @@ def test_solve_nan_residual_raises():
         solver.solve(np.ones(solver.grid.ncells))
 
 
-class _CountingLU:
-    """Wraps a factor and keeps every solution it returns, times `scale`."""
-
-    def __init__(self, lu, scale=1.0):
-        self.lu, self.scale, self.outs = lu, scale, []
-
-    def solve(self, b):
-        y = self.scale * self.lu.solve(b)
-        self.outs.append(y)
-        return y
-
-
 def _counting_solver(n, scale=1.0):
-    solver = vp.PoissonSolver(vp.build_grid(vp.DomainSpec.unit_disk(), n))
-    lu = _CountingLU(solver._factor(), scale)
-    solver._lu = lu
-    return solver, lu
+    return counting_solver(vp.build_grid(vp.DomainSpec.unit_disk(), n), scale)
 
 
 @functools.lru_cache(maxsize=4)
@@ -315,7 +300,7 @@ def _rhs(g, kind, rng):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_every_solve_makes_one_lu_solve(domain, n, kind, seed):
     solver, factor = _solver_and_factor(domain, n)
-    lu = _CountingLU(factor)
+    lu = CountingLU(factor)
     solver._lu = lu
     rhs = _rhs(solver.grid, kind, np.random.default_rng(seed))
     x = solver.solve(rhs)
@@ -347,3 +332,75 @@ def test_corrupted_solve_raises_after_one_pass():
     with pytest.raises(vp.SolveError, match="inaccurate"):
         solver.solve(np.ones(solver.grid.ncells))
     assert len(lu.outs) == 1
+
+
+# -- block solves --------------------------------------------------------------
+
+@pytest.mark.parametrize("domain", ["disk", "rectangle"])
+@pytest.mark.parametrize("n", [48, 80])
+def test_block_columns_match_single_solves(domain, n):
+    # measured over 320 columns (disk and 1.3 x 1 rectangle, n = 32..128):
+    # 316 bit-identical to the single solve, the rest within 1.1e-16 of it
+    solver, _ = _solver_and_factor(domain, n)
+    ids = np.random.default_rng(n).choice(solver.grid.ncells, 8, replace=False)
+    block = vp.green_function(solver, ids)
+    assert len(block) == ids.size
+    for c, f in zip(ids, block):
+        one = vp.green_function(solver, int(c)).values
+        assert np.abs(f.values - one).max() <= 1e-15 * np.abs(one).max()
+
+
+def _charges(g, ids):
+    rhs = np.zeros((g.ncells, len(ids)))
+    for j, c in enumerate(ids):
+        if c is not None:
+            rhs[c, j] = 1.0 / g.cell_area
+    return rhs
+
+
+def test_block_is_one_lu_call_and_counts_columns():
+    solver, lu = _counting_solver(48)
+    g = solver.grid
+    rhs = _charges(g, [5, 900, 1500, 17])
+    before = solver.solve_count
+    x = solver.solve(rhs)
+    assert len(lu.outs) == 1 and solver.solve_count - before == 4
+    res = np.abs(rhs - solver.matrix @ x).max(axis=0)
+    assert (res <= 1e-10 * np.abs(rhs).max(axis=0)).all()
+    vp.green_function(solver, np.array([3, 4, 5]))
+    assert len(lu.outs) == 2 and solver.solve_count - before == 7
+
+
+@pytest.mark.parametrize("spoil", [0.4, np.nan])
+def test_block_with_one_spoiled_column_raises(spoil):
+    # the factor returns column 2 scaled by 0.4 (residual 0.6 of its rhs),
+    # or NaN: that column alone fails the bound, and the block raises
+    solver, lu = _counting_solver(32, scale=np.array([1.0, 1.0, spoil, 1.0]))
+    with pytest.raises(vp.SolveError, match="inaccurate"):
+        solver.solve(_charges(solver.grid, [10, 200, 300, 400]))
+    assert len(lu.outs) == 1
+
+
+def test_block_with_a_zero_column_passes():
+    solver, lu = _counting_solver(32)
+    g = solver.grid
+    x = solver.solve(_charges(g, [10, None, 300]))
+    assert len(lu.outs) == 1 and np.all(x[:, 1] == 0.0)
+    for j, c in ((0, 10), (2, 300)):
+        one = vp.green_function(solver, c).values
+        assert np.abs(x[:, j] - one).max() <= 1e-15 * np.abs(one).max()
+    assert np.all(solver.solve(np.zeros((g.ncells, 3))) == 0.0)
+
+
+def test_block_rejects_bad_shapes_and_cells(disk64):
+    g = disk64.grid
+    with pytest.raises(ValueError, match="rhs length"):
+        disk64.solve(np.ones((g.ncells, 2, 2)))
+    with pytest.raises(ValueError, match="rhs length"):
+        disk64.solve(np.ones((g.ncells - 1, 2)))
+    bad = _charges(g, [1, 2])
+    bad[7, 1] = np.inf
+    with pytest.raises(ValueError, match="not finite"):
+        disk64.solve(bad)
+    with pytest.raises(ValueError, match="outside"):
+        vp.green_function(disk64, np.array([0, g.ncells]))

@@ -18,7 +18,8 @@ it, the line where that occurs, the worst absolute difference and the
 number of differing lines; binary files (the PGM previews) are compared
 byte by byte.  Lines matching `--skip REGEX` (say `solver_tol`) are left
 out of the numbers.  Exit-code changes, files present on one side only
-and text that differs in more than its numbers are listed too.  With
+and text that differs in more than its numbers (with the first line
+where it does) are listed too.  With
 `--against` the script exits 1 when any file or exit code differs from
 DIR's, so it can gate a change; otherwise it exits 0.
 
@@ -242,7 +243,7 @@ def compare_file(here: Path, there: Path, skip) -> str:
         return f"bytes {len(d)} of {len(a)} differ, worst by {max(d)}"
     if len(la) != len(lb):
         return f"lines {len(lb)} -> {len(la)}"
-    worst, at, absd, lines, text = 0.0, 0, 0.0, 0, 0
+    worst, at, absd, lines, text, first_text = 0.0, 0, 0.0, 0, 0, 0
     for k, (x, y) in enumerate(zip(la, lb), 1):
         if x == y or (skip and (skip.search(x) or skip.search(y))):
             continue
@@ -250,6 +251,7 @@ def compare_file(here: Path, there: Path, skip) -> str:
         nx, ny = NUMBER.findall(x), NUMBER.findall(y)
         if NUMBER.sub("#", x) != NUMBER.sub("#", y) or len(nx) != len(ny):
             text += 1
+            first_text = first_text or k
             continue
         for u, v in zip(map(_value, nx), map(_value, ny)):
             r = _rel(u, v)
@@ -259,8 +261,12 @@ def compare_file(here: Path, there: Path, skip) -> str:
                 absd = max(absd, abs(u - v))
     if not lines:
         return "only skipped lines differ"
-    out = f"rel {worst:.2g} at line {at}  abs {absd:.2g}  lines {lines}"
-    return out + (f"  text differs on {text} lines" if text else "")
+    out = [f"rel {worst:.2g} at line {at}  abs {absd:.2g}"] if at else []
+    if text:
+        out.append(f"text differs on {text} lines, first at line {first_text}")
+    if not out:  # same numbers, written differently (say 1.0 and 1.00)
+        out.append("numbers equal, their text differs")
+    return "  ".join(out + [f"lines {lines}"])
 
 
 def compare(root: Path, other: Path, lines: list[str], skip) -> list[str]:
