@@ -12,6 +12,22 @@ the tests watch.  Freezing the velocity over one step is the only
 first-order-in-time piece left; for the near-steady fields this module
 probes, that term is negligible next to the interpolation error.
 
+A step traces and samples only the cells a nonzero value can reach.  A
+bilinear velocity sample is a convex combination of node values (zero
+off the mask), so every RK4 stage, and with it the foot, lies within
+dt max|u_i| of its cell center along axis i.  The foot's lower-left
+node is then within ceil(dt max|u_i| / h) cells of the cell, and the
+cubic stencil reaches 2 cells past it.  So the support of omega,
+dilated by reach = ceil(dt max(|u1|max, |u2|max) / h) + 3 cells in the
+max norm (one cell spare against rounding), holds every cell whose
+stencil can read a nonzero value.  Every other cell samples an all-zero
+stencil, which sums to +0.0 from the +0.0 start and is clamped to
+[+0.0, +0.0]: exactly the +0.0 it is given untraced.  Traced cells go
+through the same elementwise operations as on the full grid, so a step
+is bit for bit the full-grid step.  (For finite omega the clamp already
+zeroes a cell whose four nearest nodes are zero; the stencil's outer
+ring matters only for a NaN or inf, and the reach covers it too.)
+
 The stability probe evolves a perturbed steady state and reports the
 relative Lp distance to the unperturbed one; on the disk the distance
 is additionally minimized over a sampled set of rotations, since the
@@ -40,6 +56,7 @@ __all__ = ["EulerState", "step", "stability_experiment", "StabilityResult"]
 class EulerState:
     omega: ScalarField
     t: float = 0.0
+    cells_traced: int = 0  # running total over the steps that led here
 
 
 def _cell_coords(grid, px, py):
@@ -100,10 +117,10 @@ def _cubic_box(grid, img, px, py):
     return np.clip(out, lo, hi)
 
 
-def _trace_feet(grid, uimages, dt):
-    """RK4 backward feet of the cell centers in the frozen field."""
-    x0 = grid.cells_xy[:, 0]
-    y0 = grid.cells_xy[:, 1]
+def _trace_feet(grid, uimages, dt, cells):
+    """RK4 backward feet of the centers of `cells` in the frozen field."""
+    x0 = grid.cells_xy[cells, 0]
+    y0 = grid.cells_xy[cells, 1]
 
     def vel(px, py):
         return _bilinear_box(grid, uimages, px, py)
@@ -129,9 +146,20 @@ def _advance(g, state, v, dt):
     if vmax > 0 and dt > 4.0 * g.h / vmax:
         raise ValueError(
             f"dt violates the CFL bound: use dt <= {4.0 * g.h / vmax:.6g}")
-    px, py = _trace_feet(g, (g.ring_image(v.u1), g.ring_image(v.u2)), dt)
-    new = _cubic_box(g, g.ring_image(state.omega.values), px, py)
-    return EulerState(ScalarField(g, new), state.t + dt)
+    # Trace only the support dilated by the reach: a foot moves at most
+    # dt max|u_i| along axis i, its cubic stencil 2 cells further, plus one
+    # cell spare against rounding.  Every other cell reads an all-zero
+    # stencil, whose clamped sum is the +0.0 it keeps untraced.  A -0.0
+    # counts as support, since a clamp to it can return -0.0.
+    w = state.omega.values
+    umax = max(float(np.abs(v.u1).max()), float(np.abs(v.u2).max()))
+    reach = math.ceil(dt * umax / g.h) + 3
+    cells = g.dilate((w != 0) | np.signbit(w), reach)
+    px, py = _trace_feet(g, (g.ring_image(v.u1), g.ring_image(v.u2)), dt, cells)
+    new = np.zeros(g.ncells)
+    new[cells] = _cubic_box(g, g.ring_image(w), px, py)
+    return EulerState(ScalarField(g, new), state.t + dt,
+                      state.cells_traced + cells.size)
 
 
 @dataclass
@@ -145,6 +173,7 @@ class StabilityResult:
     turnover: float
     aborted: bool
     note: str = ""
+    cells_traced: int = 0  # summed over steps; not written to stability.csv
 
 
 def _support_annulus(grid, zeta_vals):
@@ -298,4 +327,5 @@ def stability_experiment(solver: PoissonSolver, steady: SteadyState,
     return StabilityResult(
         times=np.array(times), distances=np.array(dists),
         integrals=np.array(integrals), max_abs=np.array(maxabs),
-        d0=dists[0], dt=dt, turnover=turnover, aborted=aborted, note=note)
+        d0=dists[0], dt=dt, turnover=turnover, aborted=aborted, note=note,
+        cells_traced=state.cells_traced)

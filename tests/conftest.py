@@ -29,6 +29,16 @@ def pair_state_96(disk96):
     return vp.maximize(disk96, spec, residual_tests=4)
 
 
+# the disk, a rectangle and a pentagon: the domains whose n = 16 box
+# grids the property tests of grid reads and Euler steps sweep
+BOX_DOMAINS = (
+    vp.DomainSpec.unit_disk(),
+    vp.DomainSpec.rectangle(1.4, 1.0),
+    vp.DomainSpec.polygon([(0, 0), (1.2, 0), (1.5, 0.8), (0.6, 1.3), (-0.2, 0.7)]),
+)
+BOX_GRIDS = [vp.build_grid(dom, 16) for dom in BOX_DOMAINS]
+
+
 def centered_patch(grid, eps, kappa=1.0, center=(0.0, 0.0)):
     xy = grid.cells_xy
     r = np.hypot(xy[:, 0] - center[0], xy[:, 1] - center[1])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import vortexpair as vp
 from vortexpair import euler
 from vortexpair.euler import EulerState
-from conftest import centered_patch
+from conftest import BOX_GRIDS, centered_patch
 
 _G48 = vp.build_grid(vp.DomainSpec.rectangle(1.2, 1.0), 48)
 
@@ -56,6 +56,110 @@ def test_radial_patch_is_near_steady(disk96):
     # circulation is not exactly conserved, but close
     drift = abs(np.sum(state.omega.values) - np.sum(f.values)) * g.cell_area
     assert drift <= 5e-3
+
+
+def _advance_full_grid(g, state, v, dt):
+    """The step with every cell traced and sampled: the reference."""
+    px, py = euler._trace_feet(g, (g.ring_image(v.u1), g.ring_image(v.u2)), dt,
+                               np.arange(g.ncells))
+    new = euler._cubic_box(g, g.ring_image(state.omega.values), px, py)
+    return EulerState(vp.ScalarField(g, new), state.t + dt)
+
+
+def _omega_draw(g, rng, kind, nonfinite):
+    vals = np.zeros(g.ncells)
+    if kind == "patches":
+        for _ in range(rng.integers(1, 4)):
+            c = g.cells_xy[rng.integers(g.ncells)]
+            on = np.hypot(*(g.cells_xy - c).T) < rng.uniform(0.05, 0.4)
+            vals[on] = rng.normal(size=on.sum())
+        # holes, half of them -0.0
+        holes = np.flatnonzero(rng.random(g.ncells) < 0.3)
+        vals[holes] = np.where(rng.random(holes.size) < 0.5, 0.0, -0.0)
+    elif kind == "single":
+        vals[rng.integers(g.ncells)] = rng.normal()
+    elif kind == "edge":
+        edge = np.flatnonzero((g.neighbors < 0).any(axis=1))
+        pick = edge[rng.random(edge.size) < 0.3]
+        vals[pick] = rng.normal(size=pick.size)
+    # With finite values the clamp zeroes every cell whose four nearest
+    # nodes are zero, so only a NaN or inf on the outer ring of a stencil
+    # shows a reach that misses the cubic's outer nodes.
+    support = np.flatnonzero(vals)
+    if nonfinite and support.size:
+        vals[rng.choice(support)] = rng.choice([np.nan, np.inf, -np.inf])
+    return vals
+
+
+def _velocity_draw(g, rng, kind):
+    if kind != "smooth":
+        # unit drifts; "axis" ones move each foot along an axis
+        th = rng.integers(4) * math.pi / 2 if kind == "axis" else rng.uniform(0, 2 * math.pi)
+        return vp.VectorField(g, np.full(g.ncells, math.cos(th)),
+                              np.full(g.ncells, math.sin(th)))
+    x, y = g.cells_xy.T
+    u = []
+    for _ in range(2):
+        k = rng.normal(scale=4.0, size=(3, 2))
+        a, ph = rng.normal(size=3), rng.uniform(0, 2 * math.pi, 3)
+        u.append(sum(a[m] * np.sin(k[m, 0] * x + k[m, 1] * y + ph[m]) for m in range(3)))
+    return vp.VectorField(g, *u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(range(len(BOX_GRIDS))), st.integers(0, 2**32 - 1),
+       st.sampled_from(["patches", "single", "edge", "zero"]),
+       st.sampled_from(["smooth", "drift", "axis"]),
+       st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.floats(0.01, 1.0)),
+       st.booleans())
+def test_advance_matches_full_grid_step(which, seed, okind, vkind, cfl, nonfinite):
+    g = BOX_GRIDS[which]
+    rng = np.random.default_rng(seed)
+    vals = _omega_draw(g, rng, okind, nonfinite)
+    v = _velocity_draw(g, rng, vkind)
+    # up to the CFL limit; 0.25 steps of it move an axis drift whole cells
+    dt = cfl * 4.0 * g.h / float(v.magnitude().max())
+    state = ref = EulerState(vp.ScalarField(g, vals))
+    for _ in range(3):
+        with np.errstate(invalid="ignore"):  # inf * 0 in a stencil is NaN
+            state = euler._advance(g, state, v, dt)
+            ref = _advance_full_grid(g, ref, v, dt)
+        a, b = state.omega.values, ref.omega.values
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert state.t == ref.t
+    assert state.cells_traced <= 3 * g.ncells
+    assert okind != "zero" or state.cells_traced == 0
+
+
+@pytest.mark.parametrize("which", range(len(BOX_GRIDS)))
+def test_reach_covers_the_outer_stencil_node(which):
+    # Axis drifts of a whole number of cells put each foot on a node, so
+    # its stencil's outer node +2 sits reach - 1 cells off with weight
+    # -0.0, and a NaN there makes the cell NaN: the reach has no slack
+    # but its one spare cell.
+    g = BOX_GRIDS[which]
+    vals = np.zeros(g.ncells)
+    vals[np.argmin(np.hypot(*(g.cells_xy - np.mean(g.cells_xy, axis=0)).T))] = np.nan
+    state = EulerState(vp.ScalarField(g, vals))
+    for th in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
+        v = vp.VectorField(g, np.full(g.ncells, math.cos(th)),
+                           np.full(g.ncells, math.sin(th)))
+        for cells in (1, 2, 4):
+            dt = cells * g.h
+            with np.errstate(invalid="ignore"):
+                got = euler._advance(g, state, v, dt).omega.values
+                ref = _advance_full_grid(g, state, v, dt).omega.values
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_stability_traces_under_half_the_grid(pair_state_96, disk96):
+    # a step that fell back to the full grid would trace every cell
+    znorm = vp.lp_norm(pair_state_96.zeta, 2.0)
+    r = vp.stability_experiment(disk96, pair_state_96, delta0=0.02 * znorm,
+                                turnovers=0.2, records=3, seed=3)
+    steps = round(r.times[-1] / r.dt)
+    assert steps > 0 and not r.aborted
+    assert 0 < r.cells_traced < 0.5 * steps * disk96.grid.ncells
 
 
 def test_stability_rejects_bad_delta0(pair_state_96, disk96):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vortexpair as vp
+from conftest import BOX_DOMAINS, BOX_GRIDS
 
 
 def test_disk_grid_basic_geometry():
@@ -156,9 +157,7 @@ def _ref_distance(dom, x, y):
 
 
 _DOMAINS = [
-    vp.DomainSpec.unit_disk(),
-    vp.DomainSpec.rectangle(1.4, 1.0),
-    vp.DomainSpec.polygon([(0, 0), (1.2, 0), (1.5, 0.8), (0.6, 1.3), (-0.2, 0.7)]),
+    *BOX_DOMAINS,
     vp.DomainSpec.polygon([(0, 0), (1, 0), (0.5, 1.0)]),
     # non-convex, with a horizontal edge
     vp.DomainSpec.polygon([(0, 0), (2, 0), (2, 1), (1, 0.4), (0, 1)]),
@@ -207,14 +206,11 @@ def test_array_geometry_matches_per_point_reference(which, free, edge_count):
 
 # -- fill-ringed box reads and random-disk draw ----------------------------
 
-_BOX_GRIDS = [vp.build_grid(dom, 16) for dom in _DOMAINS[:3]]
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(range(len(_BOX_GRIDS))), st.integers(0, 2**32 - 1),
+@given(st.sampled_from(range(len(BOX_GRIDS))), st.integers(0, 2**32 - 1),
        st.sampled_from([0.0, -1.0, 2.5]))
 def test_ring_read_matches_fill_padded_copy(which, seed, fill):
-    g = _BOX_GRIDS[which]
+    g = BOX_GRIDS[which]
     rng = np.random.default_rng(seed)
     values = rng.normal(size=g.ncells)
     pad = np.full((g.ny + 28, g.nx + 28), fill)
@@ -241,9 +237,9 @@ def _masked_read(g, ix, iy):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from(range(len(_BOX_GRIDS))), st.integers(0, 2**32 - 1))
+@given(st.sampled_from(range(len(BOX_GRIDS))), st.integers(0, 2**32 - 1))
 def test_compass_and_locate_match_masked_reference(which, seed):
-    g = _BOX_GRIDS[which]
+    g = BOX_GRIDS[which]
     rng = np.random.default_rng(seed)
     cells = np.arange(g.ncells)
     for step in (1, 2):
@@ -263,6 +259,21 @@ def test_compass_and_locate_match_masked_reference(which, seed):
     assert np.array_equal(g.locate(x, y), _masked_read(g, jx, jy))
     # the index is a view of the ids' ring image, not a second copy
     assert np.shares_memory(g.index, g._ids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(range(len(BOX_GRIDS))), st.integers(0, 2**32 - 1),
+       st.integers(0, 8), st.sampled_from([0.0, 0.002, 0.02, 0.2]))
+def test_dilate_matches_max_norm_distance(which, seed, r, density):
+    g = BOX_GRIDS[which]
+    rng = np.random.default_rng(seed)
+    mask = rng.random(g.ncells) < density  # density 0: an empty mask
+    got = g.dilate(mask, r)
+    # brute force over box indices: every cell against every masked cell
+    ix, iy = g.cell_ix, g.cell_iy
+    dist = np.maximum(np.abs(ix[:, None] - ix[mask]), np.abs(iy[:, None] - iy[mask]))
+    assert np.array_equal(got, np.flatnonzero((dist <= r).any(axis=1)))
+    assert np.all(np.diff(got) > 0)
 
 
 def _old_draw(dom, rng, radius, admit, tries):
