@@ -1,12 +1,19 @@
+import importlib.util
 import json
+import re
+import sys
 import textwrap
 from dataclasses import fields
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from vortexpair import cli
 from vortexpair.kirchhoff import KRMinimum
 from vortexpair.poisson import PoissonSolver, SolveError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_cfg(tmp_path, text, name="run.ini"):
@@ -111,7 +118,7 @@ def test_secondary_grid_too_coarse_names_key(tmp_path, capsys, command, text, ke
     assert run([command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"{key}: grid too coarse" in err and "n >= 16" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,text,key", [
@@ -125,7 +132,7 @@ def test_negative_residual_tests_exits_1(tmp_path, capsys, command, text, key):
     out = tmp_path / "o"
     assert run([command, "--config", cfg, "--out", str(out)]) == 1
     assert f"{key}: must be >= 0" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_krmin_sign_regime(tmp_path, capsys):
@@ -258,7 +265,7 @@ def test_point_vortex_non_finite_exits_1(tmp_path, capsys, command, text):
     out = tmp_path / "o"
     assert run([command, "--config", cfg, "--out", str(out)]) == 1
     assert "finite" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_jobs_only_on_sweep(tmp_path, capsys):
@@ -278,6 +285,95 @@ def test_steady_max_iter_below_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, STEADY_CFG + "max_iter = 0\n")
     assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "max_iter" in capsys.readouterr().err
+
+
+# -- the config table ---------------------------------------------------------
+
+@pytest.mark.parametrize("command, text, words", [
+    ("krmin", "[grid]\nn = 32\n[kr]\nmargin = 9\n[vortx]\nkappa1 = 3\n",
+     ["[kr] margin: unknown key", "did you mean [kr] margin_h?"]),
+    ("krmin", "[grid]\nn = 32\n[vortx]\nkappa1 = 3\n",
+     ["[vortx] kappa1: unknown section", "did you mean [vortex]?"]),
+    ("krmin", "[grid]\nn = 32\n[vortx]\n",
+     ["[vortx]: unknown section", "did you mean [vortex]?"]),
+    ("krmin", "[Grid]\nn = 32\n",
+     ["[Grid] n: unknown section", "did you mean [grid]?"]),
+    ("diagnose", "[DEFAULT]\nn = 40\n[diagnose]\nn = 32\ninstances = 5\n",
+     ["[DEFAULT] n: unknown section"]),
+    ("steady", STEADY_CFG + "[evolve]\ndelta0_rel = 0.5\n",
+     ["[evolve] delta0_rel: perturbation must satisfy"]),
+], ids=["key", "section", "empty_section", "section_case", "DEFAULT",
+        "other_command"])
+def test_config_rejected_by_name(tmp_path, capsys, command, text, words):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+    assert not out.exists()
+
+
+def test_config_keys_fold_case_and_every_section_loads(tmp_path):
+    # one file may drive several commands, so any known key is accepted
+    cfg = cli.load_config(write_cfg(tmp_path, """
+        [grid]
+        N = 48
+        [steady]
+        eps1 = 0.15
+        [evolve]
+        T = 0.5
+        Mode = PDE
+        [sweep]
+        eps = 0.15
+        [kr]
+        starts = 2
+        [diagnose]
+        instances = 5
+        [output]
+        dir = runs/%(n)s
+    """))
+    assert cfg.get("output", "dir") == "runs/%(n)s"  # no interpolation
+    assert cfg.get("evolve", "T") == 0.5 and cfg.get("evolve", "mode") == "pde"
+    assert cfg.get("steady", "eps1") == 0.15 and cfg.get("kr", "starts") == 2
+    assert cfg.get("steady", "eps2", 0.15) == 0.15  # unset: the fallback
+    assert cfg.get("kr", "margin_h") == 6.0  # unset: the table default
+
+
+def _module(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    with mock.patch.dict(sys.modules, {path.stem: module}):
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_configs_load(tmp_path):
+    for name, (_, _, text) in _module(ROOT / "tools/cli_digest.py").RUNS.items():
+        cli.load_config(write_cfg(tmp_path, text, name=f"{name}.ini"))
+    loaded = []
+    workloads = _module(ROOT / "perfbench/workloads.py").WORKLOADS
+    for name, workload in workloads.items():
+        for size in ("full", "smoke"):
+            out = tmp_path / f"{name}_{size}"
+            out.mkdir()
+            workload.prepare(0, str(out), size)
+            if (out / "bench.ini").exists():
+                cli.load_config(str(out / "bench.ini"))
+                loaded.append(out.name)
+    assert loaded
+
+
+def test_readme_grammar_matches_the_table():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Config grammar")[1].split("```ini")[1]
+    pairs, section = set(), None
+    for line in block.split("```")[0].splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = m.group(1)
+        elif m := re.match(r"(\w+)\s*=", line):
+            pairs.add((section, m.group(1).lower()))
+    assert pairs == {(s, k.lower()) for s, k in cli._TABLE}
 
 
 # -- steady -------------------------------------------------------------------
