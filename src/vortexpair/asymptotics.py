@@ -175,32 +175,27 @@ def signature_distance(s1, s2) -> float:
     return float(np.abs(np.asarray(s1) - np.asarray(s2)).max())
 
 
-def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
+def run_sweep(plan: SweepPlan) -> SweepResult:
     """Maximize along the eps family, seeding every run at the KR minimum.
 
     The KR minimum is computed once on its own (coarser) grid: seeds do
     not need sub-cell accuracy, and the center check compares
     orbit-invariant signatures, so grids may differ between the point
-    system and the field runs.  With jobs > 1 the eps points run on a
-    thread pool; record order and all seeds stay fixed, so results do
-    not depend on scheduling.
+    system and the field runs.  The eps points run one after another in
+    eps-descending order, each reusing the solver of its grid.
     """
     kr_solver = PoissonSolver(build_grid(plan.domain, plan.kr_n))
     krmin = kr_minimize(kr_solver, (plan.kappa1, plan.kappa2))
     kr_sig = signature(krmin.points[0], krmin.points[1], plan.domain)
 
-    order = np.argsort(-np.asarray(plan.eps), kind="stable")  # eps descending
-    solvers: dict[int, PoissonSolver] = {}
-    for idx in order:
-        n = plan.n[idx]
-        if n not in solvers:
-            solvers[n] = PoissonSolver(build_grid(plan.domain, n))
-
     steady = {f.name for f in fields(SteadyState)}
     shared = [f.name for f in fields(SweepRecord) if f.name in steady]
-
-    def one(idx: int):
+    solvers: dict[int, PoissonSolver] = {}
+    records, states = [], []
+    for idx in np.argsort(-np.asarray(plan.eps), kind="stable"):
         eps, n = plan.eps[idx], plan.n[idx]
+        if n not in solvers:
+            solvers[n] = PoissonSolver(build_grid(plan.domain, n))
         solver = solvers[n]
         spec = RearrangementSpec(eps1=eps, eps2=eps, kappa1=plan.kappa1,
                                  kappa2=plan.kappa2, p=plan.p,
@@ -213,23 +208,14 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
                          residual_tests=plan.residual_tests,
                          residual_seed=plan.seed)
         e_pos, e_neg, inter = energy_split(solver, state)
-        rec = SweepRecord(
+        records.append(SweepRecord(
             eps1=eps, eps2=eps, n=n, energy_pos=e_pos, energy_neg=e_neg,
             interaction=inter,
             delta_profile_pos=profile_distance(state, "pos"),
             delta_profile_neg=profile_distance(state, "neg"),
             energy_seed=float(state.energy_log[0]),
-            **{name: getattr(state, name) for name in shared})
-        return rec, state
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(one, order))
-    else:
-        pairs = [one(idx) for idx in order]
-    records = [p[0] for p in pairs]
-    states = [p[1] for p in pairs]
+            **{name: getattr(state, name) for name in shared}))
+        states.append(state)
     return SweepResult(plan=plan, records=records, states=states,
                        krmin=krmin, kr_signature=kr_sig)
 
@@ -238,6 +224,16 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
 
 def _fit(xs, ys) -> float:
     return float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
+
+
+def _trend(name: str, label: str, vals, noise: float) -> CheckResult:
+    """Each value at most (1 + noise) times the one before it; the measured
+    number is the largest such ratio (0.0 for a single value)."""
+    pairs = list(zip(vals, vals[1:]))
+    ok = all(b <= a * (1.0 + noise) for a, b in pairs)
+    return CheckResult(name, "pass" if ok else "fail",
+                       max((b / a for a, b in pairs), default=0.0),
+                       1.0 + noise, f"{label} {['%.4g' % v for v in vals]}")
 
 
 def fit_energy_slope(result: SweepResult, rel_tol: float = 0.10):
@@ -308,16 +304,9 @@ def center_convergence_check(result: SweepResult, h_mult: float = 3.0,
     last = recs[-1]  # records are eps-descending
     thresh = h_mult / last.n
     ok = dists[-1] <= thresh
-    trend_ok = all(dists[i + 1] <= dists[i] * (1.0 + noise)
-                   for i in range(len(dists) - 1))
-    out = [CheckResult("center_convergence", "pass" if ok else "fail",
-                       dists[-1], thresh,
-                       "distance at smallest eps vs 3h")]
-    out.append(CheckResult("center_trend", "pass" if trend_ok else "fail",
-                           max(dists[i + 1] / dists[i] for i in
-                               range(len(dists) - 1)) if len(dists) > 1 else 0.0,
-                           1.0 + noise, f"distances {['%.4g' % d for d in dists]}"))
-    return out
+    return [CheckResult("center_convergence", "pass" if ok else "fail",
+                        dists[-1], thresh, "distance at smallest eps vs 3h"),
+            _trend("center_trend", "distances", dists, noise)]
 
 
 def multiplier_check(result: SweepResult, spread_frac: float = 0.5):
@@ -353,16 +342,9 @@ def profile_convergence(result: SweepResult, final_tol: float = 0.2,
                             final_tol, "insufficient points")]
     deltas = [r.delta_profile for r in recs]
     ok = deltas[-1] <= final_tol
-    trend_ok = all(deltas[i + 1] <= deltas[i] * (1.0 + noise)
-                   for i in range(len(deltas) - 1))
-    return [
-        CheckResult("profile_final", "pass" if ok else "fail", deltas[-1],
-                    final_tol, "delta at smallest eps"),
-        CheckResult("profile_trend", "pass" if trend_ok else "fail",
-                    max(deltas[i + 1] / deltas[i] for i in
-                        range(len(deltas) - 1)) if len(deltas) > 1 else 0.0,
-                    1.0 + noise, f"deltas {['%.4g' % d for d in deltas]}"),
-    ]
+    return [CheckResult("profile_final", "pass" if ok else "fail", deltas[-1],
+                        final_tol, "delta at smallest eps"),
+            _trend("profile_trend", "deltas", deltas, noise)]
 
 
 def ascent_check(result: SweepResult, rel_tol: float = 1e-12):

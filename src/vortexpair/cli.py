@@ -293,9 +293,7 @@ def cmd_steady(cfg: _Cfg, outdir: str, seed: int) -> int:
     return 0 if state.converged else 2
 
 
-def cmd_sweep(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
-    if jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
+def cmd_sweep(cfg: _Cfg, outdir: str, seed: int) -> int:
     dom = _domain(cfg)
     eps = cfg.get("sweep", "eps")
     ns = cfg.get("sweep", "n", [cfg.get("grid", "n")])
@@ -315,7 +313,7 @@ def cmd_sweep(cfg: _Cfg, outdir: str, seed: int, jobs: int) -> int:
         max_iter=cfg.get("sweep", "max_iter"),
         residual_tests=cfg.get("sweep", "residual_tests"),
         seed=seed)
-    result = run_sweep(plan, jobs=jobs)
+    result = run_sweep(plan)
 
     checks = []
     checks += fit_energy_slope(result)
@@ -427,8 +425,8 @@ def cmd_diagnose(cfg: _Cfg, outdir: str, seed: int) -> int:
     return 0 if payload["all_pass"] else 2
 
 
-_COMMANDS = {"steady": cmd_steady, "krmin": cmd_krmin, "evolve": cmd_evolve,
-             "diagnose": cmd_diagnose}
+_COMMANDS = {"steady": cmd_steady, "sweep": cmd_sweep, "krmin": cmd_krmin,
+             "evolve": cmd_evolve, "diagnose": cmd_diagnose}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -454,8 +452,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=0)
         if name == "sweep":
             sp.add_argument("--jobs", type=int, default=1,
-                            help="threads for the eps points; outputs "
-                                 "do not depend on it")
+                            help="ignored; kept so existing command "
+                                 "lines still parse")
     return parser
 
 
@@ -466,8 +464,6 @@ def main(argv=None) -> int:
         outdir = (args.out or os.environ.get("VORTEXPAIR_OUT")
                   or cfg.get("output", "dir"))
         os.makedirs(outdir, exist_ok=True)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, outdir, args.seed, args.jobs)
         return _COMMANDS[args.command](cfg, outdir, args.seed)
     except (ConfigError, ValueError) as exc:
         print(f"vortexpair: error: {exc}", file=sys.stderr)

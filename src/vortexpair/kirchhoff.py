@@ -36,7 +36,6 @@ are enforced against the exact domain geometry.
 from __future__ import annotations
 
 import math
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -106,12 +105,11 @@ class _GreenStore:
     k cells hold O(k^2) floats.  The store holds no reference to the
     solver: it is the value of a weak map keyed by the solver.  New cells
     are solved `_BLOCK` at a time, as the columns of one block solve, each
-    column checked against the residual bound on its own.  A lock makes
-    solving and filling rows atomic across threads.
+    column checked against the residual bound on its own.  A store is
+    for one thread at a time: nothing in it takes a lock.
     """
 
     def __init__(self, ncells: int):
-        self._lock = threading.RLock()
         self.row = np.full(ncells, -1, dtype=np.int64)
         self.size = 0
         self.cells = np.zeros(0, dtype=np.int64)
@@ -121,31 +119,29 @@ class _GreenStore:
 
     def interpolant(self, solver: PoissonSolver) -> "_KRInterpolant":
         """The spline surrogate, built from this store on first use."""
-        with self._lock:
-            if self._interp is None:
-                self._interp = _KRInterpolant(solver)
-            return self._interp
+        if self._interp is None:
+            self._interp = _KRInterpolant(solver)
+        return self._interp
 
     def rows(self, solver: PoissonSolver, cells) -> np.ndarray:
         """Rows of `cells`; each cell not seen before is solved once, in order,
         in blocks of `_BLOCK`."""
         cells = np.asarray(cells, dtype=np.int64)
-        with self._lock:
-            new = np.array(list(dict.fromkeys(
-                int(c) for c in cells.ravel() if self.row[c] < 0)), dtype=np.int64)
-            if self.size + new.size > self.H.size:
-                self._grow(self.size + new.size)
-            for at in range(0, new.size, _BLOCK):
-                block = new[at:at + _BLOCK]
-                H, gfs = robin_solve(solver, block)
-                for c, Hc, gf in zip(block, H, gfs):
-                    k = self.size
-                    self.H[k] = Hc
-                    self.G[k, :k] = self.G[:k, k] = gf[self.cells[:k]]
-                    self.cells[k] = c
-                    self.row[c] = k
-                    self.size = k + 1
-            return self.row[cells]
+        new = np.array(list(dict.fromkeys(
+            int(c) for c in cells.ravel() if self.row[c] < 0)), dtype=np.int64)
+        if self.size + new.size > self.H.size:
+            self._grow(self.size + new.size)
+        for at in range(0, new.size, _BLOCK):
+            block = new[at:at + _BLOCK]
+            H, gfs = robin_solve(solver, block)
+            for c, Hc, gf in zip(block, H, gfs):
+                k = self.size
+                self.H[k] = Hc
+                self.G[k, :k] = self.G[:k, k] = gf[self.cells[:k]]
+                self.cells[k] = c
+                self.row[c] = k
+                self.size = k + 1
+        return self.row[cells]
 
     def _grow(self, need: int) -> None:
         k, cap = self.size, max(need, self.H.size + self.H.size // 4)
@@ -169,15 +165,13 @@ class _GreenStore:
 
 
 _stores: "weakref.WeakKeyDictionary[PoissonSolver, _GreenStore]" = weakref.WeakKeyDictionary()
-_stores_lock = threading.Lock()
 
 
 def _store(solver: PoissonSolver) -> _GreenStore:
-    with _stores_lock:
-        st = _stores.get(solver)
-        if st is None:
-            st = _stores[solver] = _GreenStore(solver.grid.ncells)
-        return st
+    st = _stores.get(solver)
+    if st is None:
+        st = _stores[solver] = _GreenStore(solver.grid.ncells)
+    return st
 
 
 def _snapped_cells(solver: PoissonSolver, pts: np.ndarray, margin: float) -> np.ndarray:

@@ -20,7 +20,6 @@ constant of the 5-point stencil (see `robin_solve`).
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,13 +60,13 @@ class PoissonSolver:
     block (ncells, m) at once.  It raises SolveError when the residual of
     some column exceeds RESIDUAL_TOL relative to that column in the
     infinity norm, or is NaN; a non-finite right-hand side is a
-    ValueError.  `solve_count` counts columns.
+    ValueError.  `solve_count` counts columns.  A solver is for one
+    thread at a time: nothing in it takes a lock.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self._lu = None
-        self._lock = threading.Lock()
         self.matrix = self._assemble()
         self.solve_count = 0
 
@@ -107,9 +106,8 @@ class PoissonSolver:
             raise ValueError("rhs is not finite")
         if not scale.any():
             return np.zeros_like(rhs)
-        with self._lock:
-            x = self._factor().solve(rhs)
-            self.solve_count += len(cols)
+        x = self._factor().solve(rhs)
+        self.solve_count += len(cols)
         # column by column: a block's residual needs no block-sized temporaries
         for b, y, s in zip(cols, x.reshape(x.shape[0], -1).T, scale):
             res = np.abs(b - self.matrix @ y).max()

@@ -38,7 +38,7 @@ def dom():
 def ref_sweep(dom):
     plan = vp.SweepPlan(domain=dom, eps=EPS_FAMILY, n=N_FAMILY,
                         kr_n=128, seed=0)
-    return vp.run_sweep(plan, jobs=1)
+    return vp.run_sweep(plan)
 
 
 @pytest.fixture(scope="module")

@@ -277,7 +277,7 @@ def tiny_plan():
 
 @pytest.fixture(scope="module")
 def tiny_sweep(tiny_plan):
-    return vp.run_sweep(tiny_plan, jobs=1)
+    return vp.run_sweep(tiny_plan)
 
 
 def test_run_sweep_records(tiny_sweep):
@@ -297,12 +297,3 @@ def test_run_sweep_records(tiny_sweep):
     assert checks[0].status == "pass"
     assert vp.core_size_check(res)[0].status == "pass"
     assert vp.ascent_check(res)[0].status == "pass"
-
-
-def test_run_sweep_thread_pool_deterministic(tiny_plan, tiny_sweep):
-    res2 = vp.run_sweep(tiny_plan, jobs=2)
-    for a, b in zip(tiny_sweep.records, res2.records):
-        assert a.energy == b.energy
-        assert a.mu1 == b.mu1 and a.mu2 == b.mu2
-        assert np.array_equal(a.center_pos, b.center_pos)
-        assert a.delta_profile == b.delta_profile

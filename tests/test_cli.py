@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import textwrap
+import threading
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -443,7 +444,7 @@ def test_sweep_outputs_and_rerun_identical(tmp_path):
     rc1 = run(["sweep", "--config", cfg, "--out", str(out1)])
     rc2 = run(["sweep", "--config", cfg, "--out", str(out2), "--jobs", "2"])
     assert rc1 in (0, 2) and rc2 == rc1
-    # jobs must not change a byte of either artifact
+    # the ignored --jobs must not change a byte of either artifact
     for name in ("records.csv", "verdict.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -495,11 +496,16 @@ def test_verdict_kr_block_covers_krminimum(tmp_path):
     assert kr["scan_sites"] > 0 and kr["starts"] >= 1
 
 
-def test_jobs_validation(tmp_path, capsys):
+def test_sweep_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     cfg = write_cfg(tmp_path, SWEEP_CFG)
-    assert run(["sweep", "--config", cfg, "--out", str(tmp_path),
-                "--jobs", "0"]) == 1
-    assert "--jobs" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert run(["sweep", "--config", cfg, "--out", str(out),
+                "--jobs", "2"]) in (0, 2)
+    assert (out / "records.csv").exists() and (out / "verdict.json").exists()
 
 
 def test_sweep_eps_n_mismatch(tmp_path, capsys):

@@ -1,8 +1,6 @@
 import functools
 import gc
 import math
-import sys
-import threading
 import weakref
 
 import numpy as np
@@ -342,36 +340,6 @@ def test_store_keeps_no_solver_alive():
     del solver
     gc.collect()
     assert ref() is None
-
-
-def test_store_shared_by_threads():
-    pairs = [((0.3, 0.0), (-0.3, 0.0)), ((0.3, 0.0), (0.0, 0.3)),
-             ((-0.3, 0.0), (0.0, 0.3)), ((0.0, -0.3), (0.0, 0.3))]
-    serial = fresh_disk64()
-    expect = [vp.kr_value(serial, cfg(p, [1.0, -1.0])) for p in pairs]
-    solver = fresh_disk64()
-    results = {}
-
-    def work(t):
-        for j in range(len(pairs)):
-            i = (t + j) % len(pairs)
-            results[t, i] = vp.kr_value(solver, cfg(pairs[i], [1.0, -1.0]))
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(th.is_alive() for th in threads)
-    assert solver.solve_count == serial.solve_count
-    for (t, i), w in results.items():
-        assert w == pytest.approx(expect[i], rel=1e-12, abs=0.0)
-    assert len(results) == 6 * len(pairs)
 
 
 def test_store_solves_new_cells_in_blocks():
