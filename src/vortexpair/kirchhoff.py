@@ -26,7 +26,9 @@ evaluation paths coexist on purpose:
   for its order and for visible conservation of W; per-step finite
   differences of snapped solves would bury both in cell noise.  One
   evaluator returns W and its exact gradient, from the closed-form
-  quintic weights and their derivatives.
+  quintic weights and their derivatives: one weight array per point
+  serves both tables, node indices are clamped per axis to the table
+  (`mode="nearest"`), and each table is read with one gather.
 
 Positions handed to the solve-backed functions are snapped to the
 containing cell; margins (4h for values, 6h for gradients and descent)
@@ -385,6 +387,12 @@ class _KRInterpolant:
     solve per site not solved before); sites without clearance borrow
     the nearest valid site's data, which only matters outside the trust
     margin where trajectories abort anyway.
+
+    H (mx, my) and h (mx, my, mx, my) sit on the same lattice, so one
+    call computes each point's 36 tensor weights for the value and both
+    slopes once and contracts both tables with them.  The tables are
+    not padded: node indices are clamped per axis to [0, mx - 1] and
+    [0, my - 1], as `mode="nearest"` does.
     """
 
     def __init__(self, solver: PoissonSolver):
@@ -420,48 +428,55 @@ class _KRInterpolant:
         self._H = ndimage.spline_filter(Hlat, order=5)
         self._h4 = ndimage.spline_filter(hreg, order=5)
         self.trust_margin = 1.5 * _STRIDE * g.h
+        self._du = 1.0 / (_STRIDE * g.h)  # d(table coordinate)/dx
+        self._origin = np.array([g.x0, g.y0]) + (0.5 + _STRIDE // 2) * g.h  # node 0
+        self._top = np.array([[mx - 1], [my - 1]])  # last node per axis
+        self._weights = _WEIGHTS * np.repeat([1.0, self._du], 6)  # slopes in d/dx
+        self._pair_cache = {}
 
     def value_and_gradient(self, pts: np.ndarray, kappas: np.ndarray):
         """W at the configuration `pts` (k, 2) and its exact gradient (k, 2)."""
-        g = self.grid
-        u = ((pts - [g.x0, g.y0]) / g.h - 0.5 - _STRIDE // 2) / _STRIDE  # in table steps
-        du = 1.0 / (_STRIDE * g.h)  # d(table coordinate)/dx
-        hs, dhs = _spline(self._H, u)
-        w = 0.5 * (kappas ** 2 * hs).sum()
-        grad = 0.5 * (kappas ** 2 * du)[:, None] * dhs
-        i, j = np.nonzero(np.arange(kappas.size)[:, None] < np.arange(kappas.size))
-        hr, dhr = _spline(self._h4, np.hstack([u[i], u[j]]))
-        sep, kk = pts[i] - pts[j], kappas[i] * kappas[j]
-        d = np.hypot(sep[:, 0], sep[:, 1])
-        w += (kk * (LOG_COEFF * np.log(d) + hr)).sum()
-        pull = LOG_COEFF * sep / (d * d)[:, None]
-        np.add.at(grad, i, kk[:, None] * (pull + du * dhr[:, :2]))
-        np.add.at(grad, j, kk[:, None] * (du * dhr[:, 2:] - pull))
+        u = (pts - self._origin) * self._du  # in table steps
+        f = np.floor(u)
+        wts = (u - f)[..., None] ** _POWERS @ self._weights  # (k, axis, 6 values + 6 slopes)
+        rows = wts[:, 0].take(_ROW_X, axis=1) * wts[:, 1].take(_ROW_Y, axis=1)
+        rows = rows.reshape(-1, 3, 36)  # value, d/dx, d/dy weights of a point's 6 x 6 nodes
+        nodes = np.minimum(np.maximum(f.astype(np.intp)[..., None] + _NODES, 0), self._top)
+        flat = (nodes[:, 0, :, None] * self._H.shape[1] + nodes[:, 1, None, :]).reshape(-1, 36)
+        hs = (rows @ self._H.take(flat)[..., None])[..., 0]  # H, dH/dx, dH/dy
+        i, j, to_i, to_j = self._pairs(kappas.size)
+        block = self._h4.take(flat[i][:, :, None] * self._H.size + flat[j][:, None, :])
+        hr = rows[i] @ block @ rows[j].transpose(0, 2, 1)  # h, [1:, 0] grad_i h, [0, 1:] grad_j h
+        sep, kk, c = pts[i] - pts[j], kappas[i] * kappas[j], 0.5 * kappas ** 2
+        d2 = (sep * sep).sum(1)
+        w = c @ hs[:, 0] + kk @ (0.5 * LOG_COEFF * np.log(d2) + hr[:, 0, 0])
+        pull = sep * (LOG_COEFF / d2)[:, None]
+        grad = c[:, None] * hs[:, 1:] + to_i @ (kk[:, None] * (pull + hr[:, 1:, 0])) \
+            + to_j @ (kk[:, None] * (hr[:, 0, 1:] - pull))
         return w, grad
+
+    def _pairs(self, k: int):
+        """Pairs i < j of k points, and the 0/1 (k, pairs) matrices that sum onto i and j."""
+        if k not in self._pair_cache:
+            i, j = np.triu_indices(k, 1)
+            at = np.arange(k)[:, None]
+            self._pair_cache[k] = i, j, (at == i).astype(float), (at == j).astype(float)
+        return self._pair_cache[k]
 
 
 # cardinal quintic B-spline weights of the nodes floor(u) - 2 .. floor(u) + 3 (rows)
-# as coefficients of 1, t, ..., t^5 (columns), t = u - floor(u); then their d/dt
+# as coefficients of 1, t, ..., t^5 (columns), t = u - floor(u); then their d/dt.
+# Each point's weights serve both tables: H and h sit on the same lattice.
 _QUINTIC = np.array([[1, -5, 10, -10, 5, -1], [26, -50, 20, 20, -20, 5],
                      [66, 0, -60, 0, 30, -10], [26, 50, 20, -20, -20, 10],
                      [1, 5, 10, 10, 5, -5], [0, 0, 0, 0, 0, 1]]) / 120.0
 _WEIGHTS = np.vstack([_QUINTIC, np.pad(_QUINTIC[:, 1:] * range(1, 6), [(0, 0), (0, 1)])]).T
-
-
-def _spline(C: np.ndarray, u: np.ndarray):
-    """Value (n,) and u-gradient (n, d) at points u (n, d) of the quintic spline with
-    `spline_filter` coefficients C, node indices clamped as `mode="nearest"` does."""
-    n, d = u.shape
-    f = np.floor(u)
-    wts = ((u - f)[..., None] ** np.arange(6) @ _WEIGHTS).reshape(n, d, 2, 6)
-    nodes = f.astype(np.intp)[..., None] + np.arange(-2, 4)
-    r = C.take(np.ravel_multi_index(tuple(
-        nodes[:, a].reshape((n,) + (1,) * a + (6,) + (1,) * (d - 1 - a))
-        for a in range(d)), C.shape, mode="clip"))
-    for a in range(d):  # contract node axis a; its value/slope axis goes last
-        r = np.einsum("nk...,njk->n...j", r, wts[:, a])
-    r = r.reshape(n, 2 ** d)
-    return r[:, 0], r[:, 1 << np.arange(d)[::-1]]
+_POWERS = np.arange(6)
+_NODES = np.arange(-2, 4)
+# columns of a point's 12 weights per axis whose outer products give the 36 tensor
+# weights of W, dW/dx and dW/dy: axis 0 value, slope, value; axis 1 value, value, slope
+_ROW_X = np.array([0, 6, 0])[:, None, None] + np.arange(6)[:, None]
+_ROW_Y = np.array([0, 0, 6])[:, None, None] + np.arange(6)
 
 
 def pv_evolve(solver: PoissonSolver, cfg: KRConfiguration, T: float, dt: float,

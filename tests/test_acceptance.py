@@ -248,8 +248,8 @@ def test_acceptance_14_point_vortex_conservation(solver128):
     ok = traj.completed and drift <= 1e-4 and 8.0 <= ratio <= 40.0
     report(14, "point-vortex energy conservation", ok,
            f"reference pair drift {drift:.2e} <= 1e-4 over T=10, dt=1e-3; "
-           f"dt halving improves drift {drifts[0]:.2e} -> {drifts[1]:.2e}, "
-           f"ratio {ratio:.1f} in [8, 40]")
+           f"dt halving improves drift {drifts[0]:.4e} -> {drifts[1]:.4e}, "
+           f"ratio {ratio:.2f} in [8, 40]")
     assert traj.completed
     assert drift <= 1e-4
     assert 8.0 <= ratio <= 40.0

@@ -1,6 +1,7 @@
 import functools
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -285,6 +286,106 @@ def test_surrogate_value_and_gradient(case):
             fd = (interp.value_and_gradient(hi, kap)[0]
                   - interp.value_and_gradient(lo, kap)[0]) / (2 * eps)
             assert abs(grad[i, c] - fd) <= 1e-8
+
+
+# the evaluator as it was before the batched rewrite, kept as the reference:
+# one `ravel_multi_index(..., mode="clip")` gather and one einsum per table axis
+_STRIDE = kirchhoff._STRIDE
+_QUINTIC = np.array([[1, -5, 10, -10, 5, -1], [26, -50, 20, 20, -20, 5],
+                     [66, 0, -60, 0, 30, -10], [26, 50, 20, -20, -20, 10],
+                     [1, 5, 10, 10, 5, -5], [0, 0, 0, 0, 0, 1]]) / 120.0
+_WEIGHTS = np.vstack([_QUINTIC, np.pad(_QUINTIC[:, 1:] * range(1, 6), [(0, 0), (0, 1)])]).T
+
+
+def _spline(C: np.ndarray, u: np.ndarray):
+    """Value (n,) and u-gradient (n, d) at points u (n, d) of the quintic spline with
+    `spline_filter` coefficients C, node indices clamped as `mode="nearest"` does."""
+    n, d = u.shape
+    f = np.floor(u)
+    wts = ((u - f)[..., None] ** np.arange(6) @ _WEIGHTS).reshape(n, d, 2, 6)
+    nodes = f.astype(np.intp)[..., None] + np.arange(-2, 4)
+    r = C.take(np.ravel_multi_index(tuple(
+        nodes[:, a].reshape((n,) + (1,) * a + (6,) + (1,) * (d - 1 - a))
+        for a in range(d)), C.shape, mode="clip"))
+    for a in range(d):  # contract node axis a; its value/slope axis goes last
+        r = np.einsum("nk...,njk->n...j", r, wts[:, a])
+    r = r.reshape(n, 2 ** d)
+    return r[:, 0], r[:, 1 << np.arange(d)[::-1]]
+
+
+def _reference_value_and_gradient(self, pts: np.ndarray, kappas: np.ndarray):
+    """W at the configuration `pts` (k, 2) and its exact gradient (k, 2)."""
+    g = self.grid
+    u = ((pts - [g.x0, g.y0]) / g.h - 0.5 - _STRIDE // 2) / _STRIDE  # in table steps
+    du = 1.0 / (_STRIDE * g.h)  # d(table coordinate)/dx
+    hs, dhs = _spline(self._H, u)
+    w = 0.5 * (kappas ** 2 * hs).sum()
+    grad = 0.5 * (kappas ** 2 * du)[:, None] * dhs
+    i, j = np.nonzero(np.arange(kappas.size)[:, None] < np.arange(kappas.size))
+    hr, dhr = _spline(self._h4, np.hstack([u[i], u[j]]))
+    sep, kk = pts[i] - pts[j], kappas[i] * kappas[j]
+    d = np.hypot(sep[:, 0], sep[:, 1])
+    w += (kk * (LOG_COEFF * np.log(d) + hr)).sum()
+    pull = LOG_COEFF * sep / (d * d)[:, None]
+    np.add.at(grad, i, kk[:, None] * (pull + du * dhr[:, :2]))
+    np.add.at(grad, j, kk[:, None] * (du * dhr[:, 2:] - pull))
+    return w, grad
+
+
+@functools.cache
+def _shared_interp64():
+    return _interp64()
+
+
+# out to |x| = 1.3: past the table's last node (about 0.69) and off the grid's
+# box, where RK stages land before the trust-margin check rejects a step
+_anywhere = st.tuples(st.floats(0.0, 1.3), st.floats(0.0, 2.0 * np.pi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(_anywhere, min_size=k, max_size=k),
+    st.lists(_strength, min_size=k, max_size=k))))
+@example(([(1.3, 0.25 * np.pi)], [(2.0, False)]))
+@example(([(1.3, 0.0), (1.25, np.pi), (0.75, 0.5 * np.pi)],
+          [(0.25, True), (1.0, False), (2.0, True)]))
+@example(([(0.1, 0.0), (0.1, np.pi), (0.8, 1.0), (1.0, 4.0)],
+          [(1.0, False), (1.0, False), (0.5, True), (1.5, True)]))
+def test_value_and_gradient_matches_reference(case):
+    polar, strengths = case
+    pts = np.array([[r * np.cos(t), r * np.sin(t)] for r, t in polar])
+    kap = np.array([-s if neg else s for s, neg in strengths])
+    k = kap.size
+    assume(all(np.hypot(*(pts[i] - pts[j])) >= _G64.h
+               for i in range(k) for j in range(i + 1, k)))
+    interp = _shared_interp64()
+    w, grad = interp.value_and_gradient(pts, kap)
+    w_ref, grad_ref = _reference_value_and_gradient(interp, pts, kap)
+    assert abs(w - w_ref) <= 1e-12 * max(1.0, abs(w_ref))
+    assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+
+
+def test_value_and_gradient_reads_tables_in_place():
+    """The tables keep their `spline_filter` shapes and a call copies no table:
+    one call's live arrays are the 4-D gather's index and block (3 x 1296
+    entries each, 31 kB at k = 3) plus numpy's buffer for the broadcast index
+    sum; one copy of the 16^4 table would be 512 kB."""
+    interp = _shared_interp64()
+    mx, my = kirchhoff._lattice(interp.grid)[0].shape
+    assert interp._H.shape == (mx, my)
+    assert interp._h4.shape == (mx, my, mx, my)
+    pts = np.array([[0.3, 0.1], [-0.2, -0.4], [0.1, 0.5]])
+    kap = np.array([1.0, -1.5, 0.5])
+    interp.value_and_gradient(pts, kap)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            interp.value_and_gradient(pts, kap)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
 
 
 # -- Green store properties -------------------------------------------------
