@@ -183,20 +183,26 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     orbit-invariant signatures, so grids may differ between the point
     system and the field runs.  The eps points run one after another in
     eps-descending order, each reusing the solver of its grid.
+
+    One LU factor is live at a time: the KR solver and its Green store go
+    once the minimum is found, each grid's solver after its last point;
+    a grid the plan comes back to keeps its solver, factored once.
     """
-    kr_solver = PoissonSolver(build_grid(plan.domain, plan.kr_n))
-    krmin = kr_minimize(kr_solver, (plan.kappa1, plan.kappa2))
+    krmin = kr_minimize(PoissonSolver(build_grid(plan.domain, plan.kr_n)),
+                        (plan.kappa1, plan.kappa2))
     kr_sig = signature(krmin.points[0], krmin.points[1], plan.domain)
 
     steady = {f.name for f in fields(SteadyState)}
     shared = [f.name for f in fields(SweepRecord) if f.name in steady]
+    order = np.argsort(-np.asarray(plan.eps), kind="stable")
+    last = {plan.n[idx]: at for at, idx in enumerate(order)}
     solvers: dict[int, PoissonSolver] = {}
     records, states = [], []
-    for idx in np.argsort(-np.asarray(plan.eps), kind="stable"):
+    for at, idx in enumerate(order):
         eps, n = plan.eps[idx], plan.n[idx]
         if n not in solvers:
             solvers[n] = PoissonSolver(build_grid(plan.domain, n))
-        solver = solvers[n]
+        solver = solvers.pop(n) if last[n] == at else solvers[n]
         spec = RearrangementSpec(eps1=eps, eps2=eps, kappa1=plan.kappa1,
                                  kappa2=plan.kappa2, p=plan.p,
                                  profile=plan.profile, gamma=plan.gamma)
@@ -216,6 +222,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
             energy_seed=float(state.energy_log[0]),
             **{name: getattr(state, name) for name in shared}))
         states.append(state)
+        del solver  # freed here after its last point, by reference counting
     return SweepResult(plan=plan, records=records, states=states,
                        krmin=krmin, kr_signature=kr_sig)
 

@@ -57,6 +57,7 @@ _STRIDE = 8  # spacing of the scan and table lattices, in cells
 # and 1.8 ms in blocks of 16; a block's right-hand side, the solver's copy
 # of it and its work array are live at once, so peak memory grows with it
 _BLOCK = 8
+_ROWS = 64  # scan-table rows built at a time: 1.5 MB at n=256, not 75 MB whole
 
 
 @dataclass
@@ -103,12 +104,14 @@ class _GreenStore:
     `G[k, :k]` = `G[:k, k]` is its solve read at every earlier solved
     cell, so G(a, b) comes from the column of whichever of a and b was
     solved later (the diagonal stays 0).  `row` maps a flat cell id to
-    its row, -1 while unsolved.  Capacity grows by a quarter each time, so
-    k cells hold O(k^2) floats.  The store holds no reference to the
-    solver: it is the value of a weak map keyed by the solver.  New cells
-    are solved `_BLOCK` at a time, as the columns of one block solve, each
-    column checked against the residual bound on its own.  A store is
-    for one thread at a time: nothing in it takes a lock.
+    its row, -1 while unsolved.  Each growth reserves a quarter more than
+    it needs, and at least a quarter more than before, so k cells hold
+    O(k^2) floats and the scan's growth leaves room for the descent: the
+    old and new G never coexist while it runs.  The store holds no
+    reference to the solver: it is the value of a weak map keyed by the
+    solver.  New cells are solved `_BLOCK` at a time, as the columns of
+    one block solve, each column checked against the residual bound on
+    its own.  A store is for one thread at a time: it takes no lock.
     """
 
     def __init__(self, ncells: int):
@@ -146,7 +149,7 @@ class _GreenStore:
         return self.row[cells]
 
     def _grow(self, need: int) -> None:
-        k, cap = self.size, max(need, self.H.size + self.H.size // 4)
+        k, cap = self.size, max(need + need // 4, self.H.size + self.H.size // 4)
         H, G, cells = np.zeros(cap), np.zeros((cap, cap)), np.zeros(cap, dtype=np.int64)
         H[:k], G[:k, :k], cells[:k] = self.H[:k], self.G[:k, :k], self.cells[:k]
         self.H, self.G, self.cells = H, G, cells
@@ -176,9 +179,9 @@ def _store(solver: PoissonSolver) -> _GreenStore:
     return st
 
 
-def _snapped_cells(solver: PoissonSolver, pts: np.ndarray, margin: float) -> np.ndarray:
-    """Cells containing `pts`, after checking boundary clearance >= `margin`
-    (a length) and separations >= 4h, which also keeps the cells distinct."""
+def _check_clearance(solver: PoissonSolver, pts: np.ndarray, margin: float) -> None:
+    """ValueError unless `pts` clear the boundary by `margin` (a length) and
+    each other by 4h, which also keeps their cells distinct."""
     g = solver.grid
     if (g.domain.boundary_distance(pts[:, 0], pts[:, 1]) < margin).any():
         raise ValueError(f"vortex too close to boundary (need {margin / g.h:g}h)")
@@ -187,7 +190,12 @@ def _snapped_cells(solver: PoissonSolver, pts: np.ndarray, margin: float) -> np.
         for j in range(i + 1, k):
             if np.hypot(*(pts[i] - pts[j])) < 4.0 * g.h:
                 raise ValueError("vortex positions closer than 4h")
-    ids = g.locate(pts[:, 0], pts[:, 1])
+
+
+def _snapped_cells(solver: PoissonSolver, pts: np.ndarray, margin: float) -> np.ndarray:
+    """Cells containing `pts`, after `_check_clearance`."""
+    _check_clearance(solver, pts, margin)
+    ids = solver.grid.locate(pts[:, 0], pts[:, 1])
     if (np.asarray(ids) < 0).any():
         raise ValueError("vortex position outside the domain")
     return np.atleast_1d(ids).astype(int)
@@ -259,21 +267,29 @@ def _scan_lattice(solver: PoissonSolver, margin_h: float) -> np.ndarray:
     return ids.T[keep.T]
 
 
-def _start_pairs(W: np.ndarray, starts: int, symmetric: bool) -> list:
-    """The `starts` least finite entries (a, b) of W in stable flat order,
-    one per unordered pair when `symmetric`.
+def _start_pairs(blocks, m: int, starts: int, symmetric: bool) -> list:
+    """The `starts` least finite entries (a, b) of an m x m table W in stable
+    flat order, one per unordered pair when `symmetric`.  W comes as
+    `(first_row, rows)` blocks of whole rows.
 
     Each unordered pair fills at most 2 entries, so the stable order's
     prefix of entries <= the (2 starts)-th smallest value holds them all.
+    Each of those is also <= its own block's (2 starts)-th smallest value,
+    so walking the union of the blocks' such entries by (value, flat id)
+    meets them first, in the same order.
     """
-    m = W.shape[0]
-    flat = W.ravel()
-    k = min(2 * starts, flat.size)
-    cand = np.flatnonzero(flat <= np.partition(flat, k - 1)[k - 1])
+    ids, vals = [], []
+    for a0, rows in blocks:
+        flat = rows.ravel()
+        k = min(2 * starts, flat.size)
+        keep = np.flatnonzero(flat <= np.partition(flat, k - 1)[k - 1])
+        ids.append(keep + a0 * m)
+        vals.append(flat[keep])
+    ids, vals = np.concatenate(ids), np.concatenate(vals)
     chosen = {}  # unordered pair if symmetric -> its first (a, b) by W
-    for f in cand[np.argsort(flat[cand], kind="stable")]:
-        a, b = divmod(int(f), m)
-        if len(chosen) == starts or not np.isfinite(W[a, b]):
+    for at in np.lexsort((ids, vals)):
+        a, b = divmod(int(ids[at]), m)
+        if len(chosen) == starts or not np.isfinite(vals[at]):
             break
         chosen.setdefault((min(a, b), max(a, b)) if symmetric else (a, b), (a, b))
     return list(chosen.values())
@@ -284,10 +300,12 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
     """Global-ish minimization of W for an opposite-signed pair.
 
     A stride-8h lattice scan over admissible ordered pairs supplies the
-    starting configurations; gradient descent with backtracking (all
-    evaluations snapped to cells) polishes the best `starts` of them,
-    and a final per-coordinate parabolic fit interpolates the minimum
-    below cell resolution.  Deterministic for a fixed grid and stride.
+    starting configurations; its table of W is built `_ROWS` rows at a
+    time, so one row block is live next to the Green store.  Gradient
+    descent with backtracking (all evaluations snapped to cells)
+    polishes the best `starts` of them, and a final per-coordinate
+    parabolic fit interpolates the minimum below cell resolution.
+    Deterministic for a fixed grid and stride.
     `margin_h` must be >= 6, the clearance of the descent's gradient
     stencil (`kr_gradient`); below it every start would stop unpolished.
     """
@@ -307,12 +325,16 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
         raise ValueError("domain too small for the scan lattice")
     store = _store(solver)
     r = store.rows(solver, sites)
-    W = store.values((r[:, None], r[None, :]), kappas)
     pts = g.cells_xy[sites]
-    # distinct sites are _STRIDE cells apart, so only the diagonal is too close
-    np.fill_diagonal(W, np.inf)
 
-    chosen = _start_pairs(W, starts, abs(kappas[0]) == abs(kappas[1]))
+    def block(a0):
+        W = store.values((r[a0:a0 + _ROWS, None], r[None, :]), kappas)
+        # distinct sites are _STRIDE cells apart, so only the diagonal is too close
+        W[np.arange(len(W)), np.arange(a0, a0 + len(W))] = np.inf
+        return a0, W
+
+    chosen = _start_pairs(map(block, range(0, len(sites), _ROWS)), len(sites),
+                          starts, abs(kappas[0]) == abs(kappas[1]))
 
     def snapped_value(p):
         try:
@@ -508,7 +530,7 @@ def pv_evolve(solver: PoissonSolver, cfg: KRConfiguration, T: float, dt: float,
 
     def ok(pts):
         try:
-            _snapped_cells(solver, pts, interp.trust_margin)
+            _check_clearance(solver, pts, interp.trust_margin)
         except ValueError:
             return False
         return True

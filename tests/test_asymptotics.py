@@ -1,5 +1,6 @@
 import math
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -297,3 +298,36 @@ def test_run_sweep_records(tiny_sweep):
     assert checks[0].status == "pass"
     assert vp.core_size_check(res)[0].status == "pass"
     assert vp.ascent_check(res)[0].status == "pass"
+
+
+def _track_solvers(monkeypatch):
+    """For each solver built from now on, which solvers built before it were
+    still alive when it was built."""
+    built, alive = [], []
+    init = vp.PoissonSolver.__init__
+
+    def tracked(self, grid):
+        alive.append([ref() is not None for ref in built])
+        built.append(weakref.ref(self))
+        init(self, grid)
+
+    monkeypatch.setattr(vp.PoissonSolver, "__init__", tracked)
+    return built, alive
+
+
+def test_run_sweep_keeps_one_solver_alive(monkeypatch):
+    built, alive = _track_solvers(monkeypatch)
+    vp.run_sweep(vp.SweepPlan(domain=vp.DomainSpec.unit_disk(), eps=(0.2, 0.18),
+                              n=(48, 56), kr_n=48, residual_tests=0))
+    assert alive == [[], [False], [False, False]]  # the KR solver, then n=48, 56
+    assert not any(ref() for ref in built)
+
+
+def test_run_sweep_reuses_a_revisited_grid(monkeypatch):
+    built, alive = _track_solvers(monkeypatch)
+    res = vp.run_sweep(vp.SweepPlan(domain=vp.DomainSpec.unit_disk(),
+                                    eps=(0.2, 0.19, 0.18), n=(48, 56, 48),
+                                    kr_n=48, residual_tests=0))
+    assert [r.n for r in res.records] == [48, 56, 48]
+    assert alive == [[], [False], [False, True]]  # n=48 outlives the n=56 point
+    assert not any(ref() for ref in built)

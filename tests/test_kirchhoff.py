@@ -231,6 +231,22 @@ def test_pv_truncates_on_margin_exit(disk96):
     assert "margin" in tr.note
 
 
+def test_pv_steps_check_clearance_without_locating(disk96, monkeypatch):
+    # the trust check needs only clearances and separations: a point 12h
+    # inside the boundary lies in a mask cell, so no cell id is read
+    c = cfg([[0.2, 0.0], [-0.2, 0.0]], [1.0, 1.0])
+    ref = vp.pv_evolve(disk96, c, T=0.05, dt=1e-3)
+
+    def locate(self, x, y):
+        raise AssertionError("pv_evolve located a cell")
+
+    monkeypatch.setattr(vp.Grid, "locate", locate)
+    tr = vp.pv_evolve(disk96, c, T=0.05, dt=1e-3)
+    assert tr.completed and len(tr.times) == 51
+    assert np.array_equal(tr.points, ref.points)
+    assert np.array_equal(tr.values, ref.values)
+
+
 # -- spline surrogate: one evaluator for W and its gradient -----------------
 
 @functools.cache
@@ -563,14 +579,36 @@ def _start_pairs_full_sort(W, starts, symmetric):
 @given(st.integers(1, 9).flatmap(lambda m: st.lists(
            st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf]),
            min_size=m * m, max_size=m * m)),
-       st.integers(1, 6), st.booleans(), st.booleans())
-def test_start_pairs_match_full_sort(vals, starts, mirror, symmetric):
+       st.integers(1, 6), st.booleans(), st.booleans(), st.integers(1, 10))
+def test_start_pairs_match_full_sort(vals, starts, mirror, symmetric, height):
     m = math.isqrt(len(vals))
     W = np.array(vals).reshape(m, m)
     if mirror:  # equal strengths give a symmetric table
         W = np.minimum(W, W.T)
-    assert (kirchhoff._start_pairs(W, starts, symmetric)
+    blocks = [(a0, W[a0:a0 + height]) for a0 in range(0, m, height)]
+    assert (kirchhoff._start_pairs(blocks, m, starts, symmetric)
             == _start_pairs_full_sort(W, starts, symmetric))
+
+
+def test_kr_minimize_peak_is_the_final_store(monkeypatch):
+    """The scan's table is built `_ROWS` rows at a time, and the scan's growth
+    of the Green store leaves room for the descent, so the peak is the final
+    store plus one row block and solve temporaries.  On stride 2 at n=40 (910
+    sites) the whole table and both generations of G made it 2.3 stores."""
+    monkeypatch.setattr(kirchhoff, "_STRIDE", 2)
+    solver = vp.PoissonSolver(vp.build_grid(vp.DomainSpec.unit_disk(), 40))
+    solver._factor()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        km = vp.kr_minimize(solver, (1.0, -1.0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    store = kirchhoff._stores[solver]
+    assert km.scan_sites > 8 * kirchhoff._ROWS
+    held = sum(a.nbytes for a in (store.G, store.H, store.cells, store.row))
+    assert peak <= 1.1 * held + 2 * 2**20
 
 
 @pytest.mark.parametrize("margin_h", [2.0, 1.0, 0.0, float("nan")])

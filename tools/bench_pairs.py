@@ -11,9 +11,10 @@ to pair, so a drift in the host's speed falls on both sides alike.  Each
 invocation reports the median of its runs for every end-to-end metric.
 Over the K pairs this prints, per metric: the median and quartiles of
 the K values on each side, the pairs the change won (strictly better),
-the relative change of the medians, (change - parent) / |parent|, and
+the relative change of the medians, (change - parent) / |parent|,
 whether that change is worse than the metric's bound in this
-checkout's BENCHMARK.json.  Failed and attempted runs are summed per
+checkout's BENCHMARK.json, and whether a claimed gain on the metric
+would be met (`claim_met`).  Failed and attempted runs are summed per
 side.
 
 Exit code 0 when no metric is worse than its bound and no run failed,
@@ -54,6 +55,31 @@ def _quartiles(xs):
     return q[0], q[2]
 
 
+def _paired(sides: dict, key: str) -> list:
+    """(change, parent) values of metric `key`, pair by pair."""
+    return [(a["metrics"][key]["value"], b["metrics"][key]["value"])
+            for a, b in zip(sides["change"], sides["parent"])
+            if key in a["metrics"] and key in b["metrics"]]
+
+
+def claim_met(sides: dict, metric: dict) -> bool:
+    """Whether a claimed gain on `metric` holds over these pairs.
+
+    The change must win at least 9 in 10 of all pairs (a tie counts for
+    neither side), and its median must beat the parent's by more than
+    the parent's interquartile range q3 - q1.
+    """
+    pairs = _paired(sides, metric["name"])
+    if not pairs:
+        return False
+    sign = 1 if metric["better"] == "lower" else -1
+    wins = sum(sign * (b - a) > 0 for a, b in pairs)
+    new, old = [p[0] for p in pairs], [p[1] for p in pairs]
+    q1, q3 = _quartiles(old)
+    gain = sign * (statistics.median(old) - statistics.median(new))
+    return 10 * wins >= 9 * len(pairs) and gain > q3 - q1
+
+
 def compare(workload: str, sides: dict, bounds: list[dict]) -> bool:
     """Print one table; True if some metric is worse than its bound."""
     print(f"# {workload}: {len(sides['change'])} pairs")
@@ -64,9 +90,7 @@ def compare(workload: str, sides: dict, bounds: list[dict]) -> bool:
     worse_any = False
     for m in bounds:
         key, lower = m["name"], m["better"] == "lower"
-        pairs = [(a["metrics"][key]["value"], b["metrics"][key]["value"])
-                 for a, b in zip(sides["change"], sides["parent"])
-                 if key in a["metrics"] and key in b["metrics"]]
+        pairs = _paired(sides, key)
         if not pairs:
             print(f"#   {key}: no samples")
             continue
@@ -83,7 +107,8 @@ def compare(workload: str, sides: dict, bounds: list[dict]) -> bool:
         print(f"#   {key:12s} change {mn:.6g} [{n1:.6g}, {n3:.6g}]  "
               f"parent {mo:.6g} [{o1:.6g}, {o3:.6g}]  "
               f"won {wins}/{len(pairs)}  rel {change:+.3e}  "
-              f"bound {m['bound']:.0%}: {'WORSE' if worse else 'ok'}")
+              f"bound {m['bound']:.0%}: {'WORSE' if worse else 'ok'}  "
+              f"claim {'met' if claim_met(sides, m) else 'not met'}")
     return worse_any
 
 
