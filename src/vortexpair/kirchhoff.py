@@ -58,6 +58,10 @@ _STRIDE = 8  # spacing of the scan and table lattices, in cells
 # of it and its work array are live at once, so peak memory grows with it
 _BLOCK = 8
 _ROWS = 64  # scan-table rows built at a time: 1.5 MB at n=256, not 75 MB whole
+# values tie within this tolerance, relative to max(1, |value|); a tie is broken
+# by order (flat id, start order, site order), not by last bits, so a symmetric
+# domain's mirror-image minima come out the same whatever the solves' rounding
+_TIE = 1e-9
 
 
 @dataclass
@@ -267,29 +271,36 @@ def _scan_lattice(solver: PoissonSolver, margin_h: float) -> np.ndarray:
     return ids.T[keep.T]
 
 
-def _start_pairs(blocks, m: int, starts: int, symmetric: bool) -> list:
-    """The `starts` least finite entries (a, b) of an m x m table W in stable
-    flat order, one per unordered pair when `symmetric`.  W comes as
-    `(first_row, rows)` blocks of whole rows.
+def _first_least(w) -> int:
+    """Index of the first entry within the `_TIE` tolerance of the least."""
+    w0 = np.min(w)
+    return int(np.flatnonzero(w <= w0 + _TIE * max(1.0, abs(w0)))[0])
 
-    Each unordered pair fills at most 2 entries, so the stable order's
-    prefix of entries <= the (2 starts)-th smallest value holds them all.
-    Each of those is also <= its own block's (2 starts)-th smallest value,
-    so walking the union of the blocks' such entries by (value, flat id)
+
+def _start_pairs(blocks, m: int, starts: int, symmetric: bool) -> list:
+    """The `starts` least finite entries (a, b) of an m x m table W in the
+    order (key, flat id), one per unordered pair when `symmetric`.  The key
+    is W quantized to steps of about `_TIE` max(1, |W|), so near-ties go by
+    flat id.  W comes as `(first_row, rows)` blocks of whole rows.
+
+    Each unordered pair fills at most 2 entries, so the order's prefix of
+    entries whose key is <= the (2 starts)-th smallest key holds them all.
+    Each of those keys is also <= its own block's (2 starts)-th smallest
+    key, so walking the union of the blocks' such entries by (key, flat id)
     meets them first, in the same order.
     """
-    ids, vals = [], []
+    ids, keys = [], []
     for a0, rows in blocks:
-        flat = rows.ravel()
-        k = min(2 * starts, flat.size)
-        keep = np.flatnonzero(flat <= np.partition(flat, k - 1)[k - 1])
+        key = np.round(np.arcsinh(rows.ravel()) / _TIE)  # asinh: monotone, ~log above 1
+        k = min(2 * starts, key.size)
+        keep = np.flatnonzero(key <= np.partition(key, k - 1)[k - 1])
         ids.append(keep + a0 * m)
-        vals.append(flat[keep])
-    ids, vals = np.concatenate(ids), np.concatenate(vals)
-    chosen = {}  # unordered pair if symmetric -> its first (a, b) by W
-    for at in np.lexsort((ids, vals)):
+        keys.append(key[keep])
+    ids, keys = np.concatenate(ids), np.concatenate(keys)
+    chosen = {}  # unordered pair if symmetric -> its first (a, b) by key
+    for at in np.lexsort((ids, keys)):
         a, b = divmod(int(ids[at]), m)
-        if len(chosen) == starts or not np.isfinite(vals[at]):
+        if len(chosen) == starts or not np.isfinite(keys[at]):
             break
         chosen.setdefault((min(a, b), max(a, b)) if symmetric else (a, b), (a, b))
     return list(chosen.values())
@@ -305,7 +316,11 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
     descent with backtracking (all evaluations snapped to cells)
     polishes the best `starts` of them, and a final per-coordinate
     parabolic fit interpolates the minimum below cell resolution.
-    Deterministic for a fixed grid and stride.
+    Deterministic for a fixed grid and stride, and independent of
+    rounding: starts are ordered by W to `_TIE` relative, then by flat
+    id, and the first of them to end within `_TIE` of the least W is
+    returned, so which mirror image of a symmetric domain's minimum
+    comes out does not hang on last bits.
     `margin_h` must be >= 6, the clearance of the descent's gradient
     stencil (`kr_gradient`); below it every start would stop unpolished.
     """
@@ -369,7 +384,7 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
                 break  # no step improved
         finals.append((w, p.copy(), cells))
 
-    w0, p0, cells0 = min(finals, key=lambda f: f[0])  # first of the least
+    w0, p0, cells0 = finals[_first_least([f[0] for f in finals])]
     tie = sum(1 for w, _, _ in finals if w <= w0 + 1e-6 * max(1.0, abs(w0)))
     refined = _parabolic_refine(solver, p0, cells0, kappas, w0)
     return KRMinimum(points=refined, value=float(w0), starts=len(chosen),
@@ -391,13 +406,14 @@ def _parabolic_refine(solver, p0, cells0, kappas, w0):
 
 
 def robin_scan_center(solver: PoissonSolver, margin_h: float = 6.0) -> np.ndarray:
-    """Scan-lattice site of least Robin value: the single-signed KR seed."""
+    """Scan-lattice site of least Robin value: the single-signed KR seed,
+    the first in scan order within `_TIE` of the least."""
     sites = _scan_lattice(solver, margin_h)
     if not len(sites):
         raise ValueError("domain too small for the scan lattice")
     store = _store(solver)
     r = store.rows(solver, sites)
-    return solver.grid.cells_xy[sites[int(np.argmin(store.H[r]))]]
+    return solver.grid.cells_xy[sites[_first_least(store.H[r])]]
 
 
 # -- smooth surrogate for the vortex ODE -----------------------------------
@@ -428,27 +444,22 @@ class _KRInterpolant:
 
         store = _store(solver)
         r = store.rows(solver, cid[valid])
-        Hlat = np.zeros((mx, my))
-        Hlat[valid] = store.H[r]
         px, py = g.cells_xy[cid[valid]].T
-        d = np.hypot(px[:, None] - px[None, :], py[:, None] - py[None, :])
-        np.fill_diagonal(d, 1.0)
-        hv = -LOG_COEFF * np.log(d) - store.G[np.ix_(r, r)]
+        hv = np.hypot(px[:, None] - px[None, :], py[:, None] - py[None, :])
+        np.fill_diagonal(hv, 1.0)  # the distances, until h replaces them
+        hv = -LOG_COEFF * np.log(hv) - store.G[np.ix_(r, r)]
         np.fill_diagonal(hv, store.H[r])
-        a, b = np.nonzero(valid)
-        hreg = np.zeros((mx, my, mx, my))
-        hreg[a[:, None], b[:, None], a[None, :], b[None, :]] = hv
 
-        # borrow nearest valid site for the masked-out corners of the box
+        # each node reads its nearest valid site (itself if valid), so the
+        # masked-out corners of the box borrow, and one 4-D table is built
+        near = np.full((mx, my), -1)
+        near[valid] = np.arange(r.size)
         if not valid.all():
-            _, (ia, ib) = ndimage.distance_transform_edt(
-                ~valid, return_indices=True)
-            Hlat = Hlat[ia, ib]
-            hreg = hreg[ia[:, :, None, None], ib[:, :, None, None],
-                        ia[None, None, :, :], ib[None, None, :, :]]
-
-        self._H = ndimage.spline_filter(Hlat, order=5)
-        self._h4 = ndimage.spline_filter(hreg, order=5)
+            near = near[tuple(ndimage.distance_transform_edt(
+                ~valid, return_distances=False, return_indices=True))]
+        self._H = ndimage.spline_filter(store.H[r][near], order=5)
+        t = hv[near[:, :, None, None], near[None, None, :, :]]
+        self._h4 = ndimage.spline_filter(t, order=5, output=t)  # in place
         self.trust_margin = 1.5 * _STRIDE * g.h
         self._du = 1.0 / (_STRIDE * g.h)  # d(table coordinate)/dx
         self._origin = np.array([g.x0, g.y0]) + (0.5 + _STRIDE // 2) * g.h  # node 0

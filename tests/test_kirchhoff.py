@@ -404,6 +404,24 @@ def test_value_and_gradient_reads_tables_in_place():
     assert peak < 128 * 1024
 
 
+def test_interpolant_build_holds_one_4d_table():
+    """The borrowed 4-D table is gathered straight from the site data and
+    filtered in place: at n=128 (a 32^4 table, 8 MB) the build, its solves
+    done before, peaks under two tables.  Zeros, a borrowed copy and the
+    filter's output made it three."""
+    solver = vp.PoissonSolver(vp.build_grid(vp.DomainSpec.unit_disk(), 128))
+    kirchhoff._KRInterpolant(solver)  # solves every table site once
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        interp = kirchhoff._KRInterpolant(solver)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert interp._h4.shape == (32,) * 4
+    assert peak < 2 * interp._h4.nbytes
+
+
 # -- Green store properties -------------------------------------------------
 
 @settings(max_examples=20, deadline=None)
@@ -576,11 +594,14 @@ def _start_pairs_full_sort(W, starts, symmetric):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 9).flatmap(lambda m: st.lists(
-           st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf]),
-           min_size=m * m, max_size=m * m)),
+@given(st.integers(1, 9).flatmap(lambda m: st.tuples(
+           st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf]),
+                    min_size=m * m, max_size=m * m),
+           st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                    min_size=m * m, max_size=m * m))),
        st.integers(1, 6), st.booleans(), st.booleans(), st.integers(1, 10))
-def test_start_pairs_match_full_sort(vals, starts, mirror, symmetric, height):
+def test_start_pairs_match_full_sort(table, starts, mirror, symmetric, height):
+    vals, ulps = table
     m = math.isqrt(len(vals))
     W = np.array(vals).reshape(m, m)
     if mirror:  # equal strengths give a symmetric table
@@ -588,6 +609,47 @@ def test_start_pairs_match_full_sort(vals, starts, mirror, symmetric, height):
     blocks = [(a0, W[a0:a0 + height]) for a0 in range(0, m, height)]
     assert (kirchhoff._start_pairs(blocks, m, starts, symmetric)
             == _start_pairs_full_sort(W, starts, symmetric))
+    # ties broken by flat id, not by last bits: every finite entry moved by
+    # 1 to 3 ulp gives the same pairs
+    fin = np.isfinite(W)
+    P = W.copy()
+    P[fin] += np.array(ulps).reshape(m, m)[fin] * np.spacing(W[fin])
+    blocks = [(a0, P[a0:a0 + height]) for a0 in range(0, m, height)]
+    assert (kirchhoff._start_pairs(blocks, m, starts, symmetric)
+            == _start_pairs_full_sort(W, starts, symmetric))
+
+
+def _jitter(rng, w, step=2.0 ** -52):
+    """w scaled by (1 + k step), k drawn from -2..2 per entry."""
+    return w * (1.0 + rng.integers(-2, 3, size=np.shape(w)) * step)
+
+
+def test_kr_minimize_image_ignores_last_bits(monkeypatch):
+    """The disk's minimum has mirror images whose W agree to rounding; the
+    returned one must not hang on the last bits of the evaluator."""
+    ref = vp.kr_minimize(fresh_disk64(), (1.0, -1.0))
+    values = kirchhoff._GreenStore.values
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(kirchhoff._GreenStore, "values", lambda self, rows, kappas:
+                            _jitter(rng, values(self, rows, kappas)))
+        km = vp.kr_minimize(fresh_disk64(), (1.0, -1.0))
+        assert np.abs(km.points - ref.points).max() <= 1e-12
+        assert abs(km.value - ref.value) <= 1e-13 * abs(ref.value)
+
+
+def test_robin_scan_center_ignores_rounding():
+    """On the 49-cell square the four scan sites nearest the center tie in H
+    to about 1e-14.  H moved by up to 2e-12 relative, the level of the
+    solves' own error, leaves the seed at the first of them in scan order."""
+    solver = vp.PoissonSolver(vp.build_grid(vp.DomainSpec.rectangle(1.0, 1.0), 49))
+    ref = kirchhoff.robin_scan_center(solver)
+    assert (ref < 0.5).all()
+    store = kirchhoff._stores[solver]
+    exact = store.H.copy()
+    for seed in range(8):
+        store.H = _jitter(np.random.default_rng(seed), exact, 1e-12)
+        assert (kirchhoff.robin_scan_center(solver) == ref).all()
 
 
 def test_kr_minimize_peak_is_the_final_store(monkeypatch):

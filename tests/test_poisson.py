@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -273,6 +274,20 @@ def _solver_and_factor(domain, n):
             else vp.DomainSpec.rectangle(1.3, 1.0))
     solver = vp.PoissonSolver(vp.build_grid(spec, n))
     return solver, solver._factor()
+
+
+@pytest.mark.parametrize("domain", ["disk", "rectangle"])
+def test_factor_is_pivot_free_m_matrix_elimination(domain):
+    """The factor permutes rows as it permutes columns (no pivoting), and its
+    factors carry the M-matrix signs that make that safe: L has a unit
+    diagonal and multipliers in [-1, 0], U a positive diagonal."""
+    _, lu = _solver_and_factor(domain, 48)
+    assert (lu.perm_r == lu.perm_c).all()
+    L, U = lu.L.tocsr(), lu.U.tocsr()
+    assert (L.diagonal() == 1.0).all()
+    off = sp.tril(L, -1).data
+    assert off.size and (off >= -1.0).all() and (off <= 0.0).all()
+    assert (U.diagonal() > 0).all()
 
 
 def _rhs(g, kind, rng):
