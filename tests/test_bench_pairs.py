@@ -1,4 +1,4 @@
-"""The claim rule of tools/bench_pairs.py on fabricated sides, no subprocess."""
+"""The claim rule and the report of tools/bench_pairs.py on fabricated sides, no subprocess."""
 
 import importlib.util
 from pathlib import Path
@@ -56,3 +56,15 @@ def test_direction_follows_the_metric():
 @pytest.mark.parametrize("change, parent", [([], []), ([None] * 3, [1.0] * 3)])
 def test_no_samples_is_not_met(change, parent):
     assert not bench_pairs.claim_met(sides(change, parent), LOWER)
+
+
+def test_each_pair_prints_both_sides_load(capsys):
+    runs = sides([9.0, 8.0], [10.0, 10.0])
+    for r in runs["change"] + runs["parent"]:
+        r.update(attempted=1, failed=0)
+    runs["change"][0]["env"] = {"loadavg_before": [0.5, 0.25, 0.125],
+                                "loadavg_after": [1.0, 0.5, 0.25]}
+    bench_pairs.compare("w", runs, [LOWER])
+    lines = capsys.readouterr().out.splitlines()
+    assert "#   pair 1: change load 0.50/0.25/0.12 -> 1.00/0.50/0.25; parent load ?" in lines
+    assert "#   pair 2: change load ?; parent load ?" in lines

@@ -15,7 +15,9 @@ the relative change of the medians, (change - parent) / |parent|,
 whether that change is worse than the metric's bound in this
 checkout's BENCHMARK.json, and whether a claimed gain on the metric
 would be met (`claim_met`).  Failed and attempted runs are summed per
-side.
+side, and each pair's load averages (1/5/15 min, before -> after each
+side's run, from its `# env` line) are listed, so a drift in the host's
+load shows.
 
 Exit code 0 when no metric is worse than its bound and no run failed,
 1 otherwise, 2 on a usage error.  Standard library only.
@@ -35,17 +37,32 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py` invocation; its final JSON object."""
+    """One `perfbench/run.py` invocation; its final JSON object, with the
+    `# env` line's object under "env" when there is one."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        res = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stderr)
         return {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
+    env = [ln[len("# env "):] for ln in lines if ln.startswith("# env ")]
+    if env:
+        res["env"] = json.loads(env[-1])
+    return res
+
+
+def _load(res: dict) -> str:
+    """The 1, 5 and 15 minute load averages before and after a run."""
+    env = res.get("env", {})
+    if "loadavg_before" not in env or "loadavg_after" not in env:
+        return "load ?"
+    before, after = ("/".join(f"{x:.2f}" for x in env[k])
+                     for k in ("loadavg_before", "loadavg_after"))
+    return f"load {before} -> {after}"
 
 
 def _quartiles(xs):
@@ -87,6 +104,8 @@ def compare(workload: str, sides: dict, bounds: list[dict]) -> bool:
         att = sum(r["attempted"] for r in sides[name])
         fail = sum(r["failed"] for r in sides[name])
         print(f"#   {name}: {fail} failed / {att} attempted runs")
+    for k, (a, b) in enumerate(zip(sides["change"], sides["parent"])):
+        print(f"#   pair {k + 1}: change {_load(a)}; parent {_load(b)}")
     worse_any = False
     for m in bounds:
         key, lower = m["name"], m["better"] == "lower"
