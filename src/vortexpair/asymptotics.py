@@ -27,9 +27,10 @@ from .fields import (ScalarField, _radial_order, lp_norm, negative_part,
                      positive_part, rescale_profile)
 from .grid import DomainSpec, Grid, build_grid, measure
 from .kirchhoff import KRMinimum, kr_minimize
-from .maximizer import (RearrangementSpec, SteadyState, make_prototype,
-                        maximize, place_prototype)
-from .poisson import PoissonSolver, _difference
+from .maximizer import (RearrangementSpec, SteadyState, _check_ascent,
+                        _check_resolution, make_prototype, maximize,
+                        place_prototype)
+from .poisson import PoissonSolver, velocity
 
 __all__ = [
     "SweepPlan", "SweepRecord", "SweepResult", "CheckResult", "run_sweep",
@@ -61,13 +62,9 @@ class SweepPlan:
         self.eps = tuple(float(e) for e in self.eps)
         n = self.n if hasattr(self.n, "__len__") else (self.n,) * len(self.eps)
         if len(n) != len(self.eps):
-            raise ValueError("need one grid resolution per eps")
+            raise ValueError(f"need one grid resolution per eps ({len(n)} "
+                             f"given for {len(self.eps)} eps values)")
         self.n = tuple(int(v) for v in n)
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1 (got {self.max_iter})")
-        if self.residual_tests < 0:
-            raise ValueError(
-                f"residual_tests must be >= 0 (got {self.residual_tests})")
 
 
 @dataclass
@@ -150,14 +147,17 @@ def _radial_prototype_profile(plane: Grid, values: np.ndarray, eps: float) -> Sc
 
 
 def profile_distance(state: SteadyState, sign: str = "pos") -> float:
-    """Relative Lp distance between the rescaled core and its ideal profile."""
+    """Relative Lp distance between the rescaled core (`sign` "pos" or
+    "neg") and its ideal profile."""
     spec = state.spec
     if sign == "pos":
         part, eps, center, vals = (positive_part(state.zeta), spec.eps1,
                                    state.center_pos, state.prototype.pos)
-    else:
+    elif sign == "neg":
         part, eps, center, vals = (negative_part(state.zeta), spec.eps2,
                                    state.center_neg, state.prototype.neg)
+    else:
+        raise ValueError(f"sign must be 'pos' or 'neg' (got {sign!r})")
     xi = rescale_profile(part, eps, center)
     rho = _radial_prototype_profile(xi.grid, vals, eps)
     diff = ScalarField(xi.grid, xi.values - rho.values)
@@ -187,7 +187,17 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     One LU factor is live at a time: the KR solver and its Green store go
     once the minimum is found, each grid's solver after its last point;
     a grid the plan comes back to keeps its solver, factored once.
+
+    Every point's class, resolution and ascent settings are checked
+    before the first solve, so a bad point fails before the KR scan.
     """
+    specs = [RearrangementSpec(eps1=eps, eps2=eps, kappa1=plan.kappa1,
+                               kappa2=plan.kappa2, p=plan.p,
+                               profile=plan.profile, gamma=plan.gamma)
+             for eps in plan.eps]
+    for spec, n in zip(specs, plan.n):
+        _check_resolution(spec, 1.0 / n)
+    _check_ascent(plan.max_iter, plan.residual_tests)
     krmin = kr_minimize(PoissonSolver(build_grid(plan.domain, plan.kr_n)),
                         (plan.kappa1, plan.kappa2))
     kr_sig = signature(krmin.points[0], krmin.points[1], plan.domain)
@@ -203,9 +213,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         if n not in solvers:
             solvers[n] = PoissonSolver(build_grid(plan.domain, n))
         solver = solvers.pop(n) if last[n] == at else solvers[n]
-        spec = RearrangementSpec(eps1=eps, eps2=eps, kappa1=plan.kappa1,
-                                 kappa2=plan.kappa2, p=plan.p,
-                                 profile=plan.profile, gamma=plan.gamma)
+        spec = specs[idx]
         proto = make_prototype(spec, solver.grid)
         seed_field = place_prototype(solver.grid, proto, krmin.points[0],
                                      krmin.points[1])
@@ -422,9 +430,10 @@ def gradient_measure_diagnostic(solver: PoissonSolver, p: float = 2.0,
             pos = u > 0
             if not pos.any():
                 continue
-            gx = _difference(g, u, axis=0)
-            gy = _difference(g, u, axis=1)
-            grad2 = math.sqrt(float((gx * gx + gy * gy).sum()) * g.cell_area)
+            # |v| = |grad u|: the velocity is the gradient turned by 90 degrees
+            v = velocity(solver, ScalarField(g, u))
+            grad2 = math.sqrt(float((v.u1 * v.u1 + v.u2 * v.u2).sum())
+                              * g.cell_area)
             lap_p = float((f[pos] ** p).sum() * g.cell_area) ** (1.0 / p)
             msr = measure(g, pos)
             if lap_p == 0.0:

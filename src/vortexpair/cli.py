@@ -194,21 +194,8 @@ def _domain(cfg: _Cfg) -> DomainSpec:
     return DomainSpec.unit_disk()
 
 
-def _check_resolution(eps: float, n: int, where: str) -> None:
-    if eps * n < 8.0 - 1e-12:
-        raise ConfigError(
-            f"{where}: resolution rule eps/h >= 8 violated "
-            f"(eps={eps:g}, h=1/{n}, eps/h={eps * n:g}); refine the grid "
-            "or enlarge eps")
-
-
-def _spec_from(cfg: _Cfg, eps1: float, eps2: float) -> RearrangementSpec:
-    try:
-        return RearrangementSpec(eps1=eps1, eps2=eps2, **{
-            k: cfg.get("vortex", k)
-            for k in ("kappa1", "kappa2", "p", "profile", "gamma")})
-    except ValueError as exc:
-        raise ConfigError(f"[vortex] invalid: {exc}") from None
+# the [vortex] keys that define a rearrangement class, less its radii
+_VORTEX = ("kappa1", "kappa2", "p", "profile", "gamma")
 
 
 def _provenance(cfg: _Cfg, n: int) -> dict:
@@ -225,13 +212,9 @@ def _solver(cfg: _Cfg, n: int):
 def _steady_state(cfg: _Cfg, solver: PoissonSolver, seed: int,
                   residual_tests: int):
     """Maximizer for the [steady] section on the solver's grid."""
-    n = solver.grid.n
     eps1 = cfg.get("steady", "eps1")
-    eps2 = cfg.get("steady", "eps2", eps1)
-    _check_resolution(eps1, n, "[steady] eps1")
-    if eps2 != 0:  # 0 selects the single-signed case
-        _check_resolution(eps2, n, "[steady] eps2")
-    spec = _spec_from(cfg, eps1, eps2)
+    spec = RearrangementSpec(eps1=eps1, eps2=cfg.get("steady", "eps2", eps1),
+                             **{k: cfg.get("vortex", k) for k in _VORTEX})
     init = cfg.get("steady", "init")
     init = "kr_seed" if init == "kr_seed" else ("random", seed)
     return maximize(solver, spec, init=init,
@@ -294,26 +277,15 @@ def cmd_steady(cfg: _Cfg, outdir: str, seed: int) -> int:
 
 
 def cmd_sweep(cfg: _Cfg, outdir: str, seed: int) -> int:
-    dom = _domain(cfg)
-    eps = cfg.get("sweep", "eps")
+    # SweepPlan checks one n per eps; run_sweep checks every point's
+    # class and resolution before its first solve
     ns = cfg.get("sweep", "n", [cfg.get("grid", "n")])
-    if len(ns) == 1:
-        ns = ns * len(eps)
-    if len(ns) != len(eps):
-        raise ConfigError("[sweep] n: need one grid resolution per eps "
-                          f"({len(ns)} given for {len(eps)} eps values)")
-    for e, n in zip(eps, ns):
-        _check_resolution(e, n, "[sweep] eps")
-    spec = _spec_from(cfg, eps[0], eps[0])  # validates kappa/p/profile early
-    plan = SweepPlan(
-        domain=dom, eps=tuple(eps), n=tuple(ns),
-        kappa1=spec.kappa1, kappa2=spec.kappa2, p=spec.p,
-        profile=spec.profile, gamma=spec.gamma,
-        kr_n=cfg.get("sweep", "kr_n"),
-        max_iter=cfg.get("sweep", "max_iter"),
-        residual_tests=cfg.get("sweep", "residual_tests"),
-        seed=seed)
-    result = run_sweep(plan)
+    result = run_sweep(SweepPlan(
+        domain=_domain(cfg), eps=cfg.get("sweep", "eps"),
+        n=ns[0] if len(ns) == 1 else ns, seed=seed,
+        **{k: cfg.get("vortex", k) for k in _VORTEX},
+        **{k: cfg.get("sweep", k)
+           for k in ("kr_n", "max_iter", "residual_tests")}))
 
     checks = []
     checks += fit_energy_slope(result)
@@ -350,10 +322,6 @@ def cmd_krmin(cfg: _Cfg, outdir: str, seed: int) -> int:
     solver, prov = _solver(cfg, cfg.get("grid", "n"))
     dom = solver.grid.domain
     k1, k2 = cfg.get("vortex", "kappa1"), cfg.get("vortex", "kappa2")
-    if not (k1 > 0 > k2):
-        raise ConfigError("[vortex] kappa: minimization covers the "
-                          "kappa1 > 0 > kappa2 regime only "
-                          f"(got kappa1={k1:g}, kappa2={k2:g})")
     res = kr_minimize(solver, (k1, k2), **{
         k: cfg.get("kr", k) for k in ("margin_h", "starts", "max_iter")})
     payload = asdict(res)

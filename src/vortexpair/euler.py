@@ -279,7 +279,7 @@ def stability_experiment(solver: PoissonSolver, steady: SteadyState,
     if delta0 > 0:
         c, r = g.domain.draw_disk(np.random.default_rng(seed), (0.08, 0.2),
                                   "the perturbation bump")
-        phi, _, _ = bump_on_grid(g, c, r)
+        phi = bump_on_grid(g, c, r)
         pnorm = lp_norm(ScalarField(g, phi), p)
         omega = omega + phi * (delta0 / pnorm)
     state = EulerState(ScalarField(g, omega))

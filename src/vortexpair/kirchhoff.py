@@ -329,7 +329,8 @@ def kr_minimize(solver: PoissonSolver, kappas, margin_h: float = 6.0,
                          f"clearance (got {margin_h!r})")
     kappas = np.asarray(kappas, dtype=float)
     if kappas.shape != (2,) or not (np.inf > kappas[0] > 0 > kappas[1] > -np.inf):
-        raise ValueError("kr_minimize expects finite strengths (positive, negative)")
+        raise ValueError("kr_minimize expects finite strengths with "
+                         f"kappa1 > 0 > kappa2 (got {kappas.tolist()})")
     if starts < 1:
         raise ValueError("starts must be >= 1")
     if max_iter < 0:

@@ -106,20 +106,29 @@ def _profile_weights(spec: RearrangementSpec, count: int) -> np.ndarray:
     return (1.0 - j / count) ** spec.gamma
 
 
+def _check_resolution(spec: RearrangementSpec, h: float) -> None:
+    """The class is admitted on a grid of width h only if eps/h >= 8 for
+    each core (eps = 0 is no core)."""
+    for eps in (spec.eps1, spec.eps2):
+        if eps and eps / h < 8.0:
+            raise ValueError(
+                f"resolution rule eps/h >= 8 violated (eps={eps:g}, "
+                f"h=1/{1.0 / h:g}, eps/h={eps / h:g}): refine grid or "
+                "enlarge eps")
+
+
+def _check_ascent(max_iter: int, residual_tests: int) -> None:
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1 (got {max_iter})")
+    if residual_tests < 0:
+        raise ValueError(f"residual_tests must be >= 0 (got {residual_tests})")
+
+
 def make_prototype(spec: RearrangementSpec, grid: Grid) -> Prototype:
     h = grid.h
-    sizes = []
-    for eps in (spec.eps1, spec.eps2):
-        if eps == 0:
-            sizes.append(0)
-            continue
-        if eps / h < 8.0:
-            raise ValueError("core under-resolved: refine grid or enlarge eps")
-        count = int(round(math.pi * eps * eps / (h * h)))
-        if count < 4:
-            raise ValueError("core under-resolved: refine grid or enlarge eps")
-        sizes.append(count)
-    n1, n2 = sizes
+    _check_resolution(spec, h)
+    n1, n2 = (int(round(math.pi * eps * eps / (h * h)))
+              for eps in (spec.eps1, spec.eps2))
     if n1 + n2 > grid.ncells:
         raise ValueError("cores do not fit in the domain")
     w1 = _profile_weights(spec, n1)
@@ -256,10 +265,7 @@ def maximize(solver: PoissonSolver, spec: RearrangementSpec, init="kr_seed",
     hitting max_iter (or entering a nontrivial cycle) returns a state
     flagged non-converged instead of raising.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1 (got {max_iter})")
-    if residual_tests < 0:
-        raise ValueError(f"residual_tests must be >= 0 (got {residual_tests})")
+    _check_ascent(max_iter, residual_tests)
     proto = make_prototype(spec, solver.grid)
     zeta = _seed_field(solver, proto, init)
     log = []
@@ -344,11 +350,11 @@ def monotone_map_check(zeta: ScalarField, psi: ScalarField,
     return total
 
 
-def bump_on_grid(grid: Grid, center, radius: float):
-    """Smooth compactly supported bump and its analytic gradient.
+def bump_on_grid(grid: Grid, center, radius: float) -> np.ndarray:
+    """Smooth compactly supported bump sampled on the grid.
 
     phi(x) = exp(1 - 1/(1 - s^2)) with s = |x - center|/radius, zero at
-    s >= 1.  Returns (phi, dphi_x, dphi_y) sampled on the grid.
+    s >= 1.
     """
     xy = grid.cells_xy
     dx = xy[:, 0] - center[0]
@@ -356,11 +362,8 @@ def bump_on_grid(grid: Grid, center, radius: float):
     s2 = (dx * dx + dy * dy) / (radius * radius)
     inside = s2 < 1.0
     phi = np.zeros(grid.ncells)
-    one_m = np.where(inside, 1.0 - s2, 1.0)
-    phi[inside] = np.exp(1.0 - 1.0 / one_m[inside])
-    coef = np.zeros(grid.ncells)
-    coef[inside] = -2.0 * phi[inside] / (radius * radius * one_m[inside] ** 2)
-    return phi, coef * dx, coef * dy
+    phi[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+    return phi
 
 
 def cone_test_function(grid: Grid, center, radius: float, band: float = 0.25,

@@ -180,8 +180,14 @@ def test_sweep_plan_validation(dom):
     assert plan.n == (64, 64)
 
 
-@pytest.mark.parametrize("kw, word", [(dict(residual_tests=-1), "residual_tests"),
-                                      (dict(max_iter=0), "max_iter")])
+@pytest.mark.parametrize("kw, word", [
+    (dict(residual_tests=-1), "residual_tests"),
+    (dict(max_iter=0), "max_iter"),
+    # the second point alone breaks its rule: 0.1 * 48 < 8
+    (dict(eps=(0.2, 0.1)), "resolution rule eps/h >= 8 violated"),
+    (dict(profile="gaussian"), "unknown profile"),
+    (dict(profile="parabolic", gamma=0.0), "gamma > 0"),
+])
 def test_sweep_plan_rejects_bad_ascent_settings_before_solving(
         dom, monkeypatch, kw, word):
     solves = []
@@ -189,7 +195,8 @@ def test_sweep_plan_rejects_bad_ascent_settings_before_solving(
     monkeypatch.setattr(vp.PoissonSolver, "solve",
                         lambda self, rhs: solves.append(1) or real(self, rhs))
     with pytest.raises(ValueError, match=word):
-        vp.run_sweep(vp.SweepPlan(domain=dom, eps=(0.2,), n=48, kr_n=48, **kw))
+        vp.run_sweep(vp.SweepPlan(**dict(domain=dom, eps=(0.2,), n=48,
+                                         kr_n=48) | kw))
     assert len(solves) == 0
 
 
@@ -200,6 +207,12 @@ def test_energy_split_identity(pair_state_96, disk96):
     e_pos, e_neg, inter = vp.energy_split(disk96, st)
     assert e_pos > 0 and e_neg > 0 and inter > 0
     assert abs(st.energy - (e_pos + e_neg - inter)) <= 1e-9 * abs(st.energy)
+
+
+def test_profile_distance_names_its_core(pair_state_96):
+    assert vp.profile_distance(pair_state_96, "neg") > 0
+    with pytest.raises(ValueError, match="'pos' or 'neg'"):
+        vp.profile_distance(pair_state_96, "positive")
 
 
 def test_signature_isometry_invariance():

@@ -53,6 +53,15 @@ def test_direction_follows_the_metric():
     assert not bench_pairs.claim_met(sides(up, PARENT), LOWER)
 
 
+def test_fewer_than_ten_pairs_are_not_met(capsys):
+    runs = sides([v - 2.0 for v in PARENT[:3]], PARENT[:3])
+    assert not bench_pairs.claim_met(runs, LOWER)
+    for r in runs["change"] + runs["parent"]:
+        r.update(attempted=1, failed=0)
+    bench_pairs.compare("w", runs, [LOWER])
+    assert "claim not met (3 pairs, need 10)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("change, parent", [([], []), ([None] * 3, [1.0] * 3)])
 def test_no_samples_is_not_met(change, parent):
     assert not bench_pairs.claim_met(sides(change, parent), LOWER)

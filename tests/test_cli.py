@@ -508,6 +508,18 @@ def test_sweep_starts_no_thread(tmp_path, monkeypatch):
     assert (out / "records.csv").exists() and (out / "verdict.json").exists()
 
 
+def test_sweep_resolution_rule_fails_before_solving(tmp_path, capsys,
+                                                    monkeypatch):
+    solves = []
+    monkeypatch.setattr(PoissonSolver, "solve",
+                        lambda self, rhs: solves.append(1))
+    cfg = write_cfg(tmp_path, "[sweep]\neps = 0.15 0.1\nn = 64\nkr_n = 48\n")
+    out = tmp_path / "o"
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert "resolution rule eps/h >= 8 violated" in capsys.readouterr().err
+    assert solves == [] and not any(out.iterdir())
+
+
 def test_sweep_eps_n_mismatch(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[sweep]\neps = 0.15 0.12 0.1\nn = 64 80\n")
     assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -14,10 +14,10 @@ the K values on each side, the pairs the change won (strictly better),
 the relative change of the medians, (change - parent) / |parent|,
 whether that change is worse than the metric's bound in this
 checkout's BENCHMARK.json, and whether a claimed gain on the metric
-would be met (`claim_met`).  Failed and attempted runs are summed per
-side, and each pair's load averages (1/5/15 min, before -> after each
-side's run, from its `# env` line) are listed, so a drift in the host's
-load shows.
+would be met (`claim_met`; never below ten pairs).  Failed and
+attempted runs are summed per side, and each pair's load averages
+(1/5/15 min, before -> after each side's run, from its `# env` line)
+are listed, so a drift in the host's load shows.
 
 Exit code 0 when no metric is worse than its bound and no run failed,
 1 otherwise, 2 on a usage error.  Standard library only.
@@ -79,15 +79,19 @@ def _paired(sides: dict, key: str) -> list:
             if key in a["metrics"] and key in b["metrics"]]
 
 
+MIN_PAIRS = 10
+
+
 def claim_met(sides: dict, metric: dict) -> bool:
     """Whether a claimed gain on `metric` holds over these pairs.
 
-    The change must win at least 9 in 10 of all pairs (a tie counts for
-    neither side), and its median must beat the parent's by more than
-    the parent's interquartile range q3 - q1.
+    It needs at least MIN_PAIRS pairs with samples.  The change must win
+    at least 9 in 10 of them (a tie counts for neither side), and its
+    median must beat the parent's by more than the parent's
+    interquartile range q3 - q1.
     """
     pairs = _paired(sides, metric["name"])
-    if not pairs:
+    if len(pairs) < MIN_PAIRS:
         return False
     sign = 1 if metric["better"] == "lower" else -1
     wins = sum(sign * (b - a) > 0 for a, b in pairs)
@@ -123,11 +127,14 @@ def compare(workload: str, sides: dict, bounds: list[dict]) -> bool:
         worse = (change if lower else -change) > m["bound"]
         worse_any |= worse
         (n1, n3), (o1, o3) = _quartiles(new), _quartiles(old)
+        claim = "met" if claim_met(sides, m) else "not met"
+        if len(pairs) < MIN_PAIRS:
+            claim += f" ({len(pairs)} pairs, need {MIN_PAIRS})"
         print(f"#   {key:12s} change {mn:.6g} [{n1:.6g}, {n3:.6g}]  "
               f"parent {mo:.6g} [{o1:.6g}, {o3:.6g}]  "
               f"won {wins}/{len(pairs)}  rel {change:+.3e}  "
               f"bound {m['bound']:.0%}: {'WORSE' if worse else 'ok'}  "
-              f"claim {'met' if claim_met(sides, m) else 'not met'}")
+              f"claim {claim}")
     return worse_any
 
 
