@@ -60,6 +60,8 @@ class SweepPlan:
 
     def __post_init__(self):
         self.eps = tuple(float(e) for e in self.eps)
+        if not self.eps:  # else the KR scan runs, and two checks pass, on no record
+            raise ValueError("need at least one eps value")
         n = self.n if hasattr(self.n, "__len__") else (self.n,) * len(self.eps)
         if len(n) != len(self.eps):
             raise ValueError(f"need one grid resolution per eps ({len(n)} "
@@ -241,9 +243,10 @@ def _fit(xs, ys) -> float:
     return float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
 
 
-def _trend(name: str, label: str, vals, noise: float) -> CheckResult:
-    """Each value at most (1 + noise) times the one before it; the measured
-    number is the largest such ratio (0.0 for a single value)."""
+def _trend(name: str, label: str, vals) -> CheckResult:
+    """Each value at most 1.2 times the one before it (20% noise); the
+    measured number is the largest such ratio (0.0 for a single value)."""
+    noise = 0.20
     pairs = list(zip(vals, vals[1:]))
     ok = all(b <= a * (1.0 + noise) for a, b in pairs)
     return CheckResult(name, "pass" if ok else "fail",
@@ -251,8 +254,9 @@ def _trend(name: str, label: str, vals, noise: float) -> CheckResult:
                        1.0 + noise, f"{label} {['%.4g' % v for v in vals]}")
 
 
-def fit_energy_slope(result: SweepResult, rel_tol: float = 0.10):
-    """Slopes of E(zeta+-) against -ln eps vs kappa_i^2 / 4pi."""
+def fit_energy_slope(result: SweepResult):
+    """Slopes of E(zeta+-) against -ln eps vs kappa_i^2 / 4pi, to 10%."""
+    rel_tol = 0.10
     recs = result.records
     out = []
     for name, kappa, get in (
@@ -270,8 +274,9 @@ def fit_energy_slope(result: SweepResult, rel_tol: float = 0.10):
     return out
 
 
-def interaction_boundedness(result: SweepResult, rel_tol: float = 0.05):
-    """Interaction stays positive with near-zero slope in -ln eps."""
+def interaction_boundedness(result: SweepResult):
+    """Interaction positive, |slope| in -ln eps within 0.05 |kappa1 kappa2| / 4pi."""
+    rel_tol = 0.05
     recs = result.records
     scale = abs(result.plan.kappa1 * result.plan.kappa2) / (4.0 * math.pi)
     out = []
@@ -292,7 +297,9 @@ def interaction_boundedness(result: SweepResult, rel_tol: float = 0.05):
     return out
 
 
-def core_size_check(result: SweepResult, lo: float = 1.8, hi: float = 4.0):
+def core_size_check(result: SweepResult):
+    """Every core diameter between 1.8 and 4.0 times its eps."""
+    lo, hi = 1.8, 4.0
     ratios = []
     for r in result.records:
         ratios.append(r.diam_pos / r.eps1)
@@ -306,9 +313,8 @@ def core_size_check(result: SweepResult, lo: float = 1.8, hi: float = 4.0):
                         f"min={min(ratios):.3f} (floor {lo}), max vs cap {hi}")]
 
 
-def center_convergence_check(result: SweepResult, h_mult: float = 3.0,
-                             noise: float = 0.20):
-    """Signature distance to the KR minimum: small at the end, shrinking."""
+def center_convergence_check(result: SweepResult):
+    """Signature distance to the KR minimum: within 3h at the end, shrinking."""
     recs = result.records
     if not recs:
         return [CheckResult("center_convergence", "insufficient", None, None,
@@ -317,15 +323,16 @@ def center_convergence_check(result: SweepResult, h_mult: float = 3.0,
     dists = [signature_distance(signature(r.center_pos, r.center_neg, dom),
                                 result.kr_signature) for r in recs]
     last = recs[-1]  # records are eps-descending
-    thresh = h_mult / last.n
+    thresh = 3.0 / last.n
     ok = dists[-1] <= thresh
     return [CheckResult("center_convergence", "pass" if ok else "fail",
                         dists[-1], thresh, "distance at smallest eps vs 3h"),
-            _trend("center_trend", "distances", dists, noise)]
+            _trend("center_trend", "distances", dists)]
 
 
-def multiplier_check(result: SweepResult, spread_frac: float = 0.5):
-    """Drift-corrected multipliers d_i = mu_i + (kappa_i/2pi) ln eps_i.
+def multiplier_check(result: SweepResult):
+    """Drift-corrected multipliers d_i = mu_i + (kappa_i/2pi) ln eps_i,
+    their spread within 0.5 |kappa_i| / 2pi.
 
     Both signs use the same formula; for the negative core kappa_2 < 0
     makes the correction positive, canceling the -|kappa_2|/2pi ln(1/eps)
@@ -342,15 +349,16 @@ def multiplier_check(result: SweepResult, spread_frac: float = 0.5):
             continue
         d = [get_mu(r) + kappa / TWO_PI * math.log(get_eps(r)) for r in recs]
         spread = max(d) - min(d)
-        bound = spread_frac * abs(kappa) / TWO_PI
+        bound = 0.5 * abs(kappa) / TWO_PI
         out.append(CheckResult(name, "pass" if spread <= bound else "fail",
                                spread, bound,
                                f"d values {['%.4g' % v for v in d]}"))
     return out
 
 
-def profile_convergence(result: SweepResult, final_tol: float = 0.2,
-                        noise: float = 0.20):
+def profile_convergence(result: SweepResult):
+    """Profile distance within 0.2 at the smallest eps, shrinking."""
+    final_tol = 0.2
     recs = result.records
     if not recs:
         return [CheckResult("profile_convergence", "insufficient", None,
@@ -359,11 +367,12 @@ def profile_convergence(result: SweepResult, final_tol: float = 0.2,
     ok = deltas[-1] <= final_tol
     return [CheckResult("profile_final", "pass" if ok else "fail", deltas[-1],
                         final_tol, "delta at smallest eps"),
-            _trend("profile_trend", "deltas", deltas, noise)]
+            _trend("profile_trend", "deltas", deltas)]
 
 
-def ascent_check(result: SweepResult, rel_tol: float = 1e-12):
-    """Energy logs nondecreasing; converged flags; monotone-map zeros."""
+def ascent_check(result: SweepResult):
+    """Energy logs nondecreasing to 1e-12; converged flags; monotone-map zeros."""
+    rel_tol = 1e-12
     worst = 0.0
     bad = []
     for rec, st in zip(result.records, result.states):
@@ -397,16 +406,16 @@ class GradientMeasureResult:
 
 
 def gradient_measure_diagnostic(solver: PoissonSolver, p: float = 2.0,
-                                seed: int = 0, base_radius: float = 0.4,
-                                scales: int = 3, samples: int = 6) -> GradientMeasureResult:
+                                seed: int = 0) -> GradientMeasureResult:
     """Ratio ||grad u||_2 / (||Lap u||_p m(u>0)^(1/p')) over truncations.
 
     u = (G f - c)+ for random nonnegative f supported at a given scale
     and random admissible cut levels c.  The Laplacian of u is taken as
     -f on {u > 0}: that is the Lp datum the estimate controls (the
     5-point Laplacian of the truncated field would pick up an O(1/h)
-    layer on the free boundary and diverge under refinement).  Support
-    radii halve `scales` times, spanning a factor 4^(scales-1) in area.
+    layer on the free boundary and diverge under refinement).  Six
+    samples at each support radius 0.4, 0.2 and 0.1 span a factor 16 in
+    area.
     """
     if not p > 1:
         raise ValueError("need p > 1 so the conjugate exponent is finite")
@@ -414,8 +423,9 @@ def gradient_measure_diagnostic(solver: PoissonSolver, p: float = 2.0,
     rng = np.random.default_rng(seed)
     xy = g.cells_xy
     pconj = p / (p - 1.0)
-    radii = base_radius / (2.0 ** np.arange(scales))
-    maxes = np.zeros(scales)
+    samples = 6
+    radii = 0.4 / (2.0 ** np.arange(3))
+    maxes = np.zeros(radii.size)
     for si, rs in enumerate(radii):
         best = 0.0
         for _ in range(samples):

@@ -83,14 +83,14 @@ def center_of_mass(f: ScalarField):
     return np.array([(xy[:, 0] * w).sum() / total, (xy[:, 1] * w).sum() / total])
 
 
-def support_diameter(f: ScalarField, threshold: float = 0.0) -> float:
-    """Max pairwise distance between cells with |f| > threshold.
+def support_diameter(f: ScalarField) -> float:
+    """Max pairwise distance between cells where f is nonzero.
 
     Exact: the farthest pair are convex-hull vertices of the support,
     and every hull vertex lacks a 4-neighbour in the support, so only
     such edge cells are paired (O(perimeter^2) memory, not O(k^2)).
     """
-    sel = np.abs(f.values) > threshold
+    sel = np.abs(f.values) > 0.0
     nb = f.grid.neighbors[sel]
     edge = ((nb < 0) | ~sel[nb]).any(axis=1)
     pts = f.grid.cells_xy[sel][edge]
@@ -251,29 +251,40 @@ class SuiteOutcome:
         return asdict(self)
 
 
-def hardy_littlewood_suite(instances: int = 100, seed: int = 0) -> SuiteOutcome:
-    """Sum(u v) <= Sum(u* v*) over random nonnegative field pairs."""
+def _suite(name: str, instances: int, seed: int, half_cells: int, tol: float,
+           draw, form) -> SuiteOutcome:
+    """Count pairs (u, w) = draw(plane, rng) with form(u, w) > form(u*, w*) + tol,
+    u* and w* rearranged on a plane grid 2 half_cells cells a side."""
     if instances < 1:  # zero instances would pass without testing anything
         raise ValueError(f"instances must be >= 1 (got {instances})")
-    half_cells, tol = 12, 1e-10
     plane = plane_grid(1.0 / (2 * half_cells), half_cells)
     rng = np.random.default_rng(seed)
-    h2 = plane.cell_area
     worst = -math.inf
     bad = 0
     for _ in range(instances):
-        u = rng.uniform(0.0, 1.0, plane.ncells)
-        v = rng.uniform(0.0, 1.0, plane.ncells)
-        u[rng.uniform(size=plane.ncells) > rng.uniform(0.2, 0.9)] = 0.0
-        v[rng.uniform(size=plane.ncells) > rng.uniform(0.2, 0.9)] = 0.0
-        us = symmetric_decreasing_rearrangement(ScalarField(plane, u), plane)
-        vs = symmetric_decreasing_rearrangement(ScalarField(plane, v), plane)
-        lhs = float((u * v).sum()) * h2
-        rhs = float((us.values * vs.values).sum()) * h2
+        u, w = draw(plane, rng)
+        us, ws = (symmetric_decreasing_rearrangement(ScalarField(plane, f), plane).values
+                  for f in (u, w))
+        lhs, rhs = form(plane, u, w), form(plane, us, ws)
         worst = max(worst, lhs - rhs)
         if lhs > rhs + tol:
             bad += 1
-    return SuiteOutcome("hardy_littlewood", instances, bad, worst, tol)
+    return SuiteOutcome(name, instances, bad, worst, tol)
+
+
+def _hardy_littlewood_pair(plane: Grid, rng):
+    """Uniform values, each field zeroed on a random share of the cells."""
+    u, v = (rng.uniform(0.0, 1.0, plane.ncells) for _ in range(2))
+    for f in (u, v):
+        f[rng.uniform(size=plane.ncells) > rng.uniform(0.2, 0.9)] = 0.0
+    return u, v
+
+
+def hardy_littlewood_suite(instances: int = 100, seed: int = 0) -> SuiteOutcome:
+    """Sum(u v) <= Sum(u* v*) over random nonnegative field pairs."""
+    return _suite("hardy_littlewood", instances, seed, 12, 1e-10,
+                  _hardy_littlewood_pair,
+                  lambda plane, u, v: float((u * v).sum()) * plane.cell_area)
 
 
 def _log_kernel_sum(plane: Grid, u: np.ndarray, w: np.ndarray) -> float:
@@ -289,6 +300,21 @@ def _log_kernel_sum(plane: Grid, u: np.ndarray, w: np.ndarray) -> float:
     return float(u[iu] @ k @ w[iw]) * plane.cell_area ** 2
 
 
+def _riesz_pair(plane: Grid, rng):
+    """Random values on two disks of radius 2 to 6 cells centered in the middle half."""
+    xy = plane.cells_xy
+    extent = -plane.x0  # half the plane's side
+    uw = []
+    for _ in range(2):
+        c = rng.uniform(-0.5 * extent, 0.5 * extent, 2)
+        r = rng.uniform(2.0, 6.0) * plane.h
+        sel = np.hypot(xy[:, 0] - c[0], xy[:, 1] - c[1]) < r
+        f = np.zeros(plane.ncells)
+        f[sel] = rng.uniform(0.1, 1.0, int(sel.sum()))
+        uw.append(f)
+    return uw
+
+
 def riesz_suite(instances: int = 100, seed: int = 0) -> SuiteOutcome:
     """Riesz with the cell-truncated log kernel, random small supports.
 
@@ -296,30 +322,5 @@ def riesz_suite(instances: int = 100, seed: int = 0) -> SuiteOutcome:
     both sides by the same amount (rearrangement preserves the sums of u
     and w exactly), so only its decreasing shape matters.
     """
-    if instances < 1:  # zero instances would pass without testing anything
-        raise ValueError(f"instances must be >= 1 (got {instances})")
-    half_cells, tol = 16, 1e-8
-    plane = plane_grid(1.0 / (2 * half_cells), half_cells)
-    rng = np.random.default_rng(seed)
-    xy = plane.cells_xy
-    extent = half_cells * plane.h
-    worst = -math.inf
-    bad = 0
-    for _ in range(instances):
-        uw = []
-        for _ in range(2):
-            c = rng.uniform(-0.5 * extent, 0.5 * extent, 2)
-            r = rng.uniform(2.0, 6.0) * plane.h
-            sel = np.hypot(xy[:, 0] - c[0], xy[:, 1] - c[1]) < r
-            f = np.zeros(plane.ncells)
-            f[sel] = rng.uniform(0.1, 1.0, int(sel.sum()))
-            uw.append(f)
-        u, w = uw
-        us = symmetric_decreasing_rearrangement(ScalarField(plane, u), plane).values
-        ws = symmetric_decreasing_rearrangement(ScalarField(plane, w), plane).values
-        lhs = _log_kernel_sum(plane, u, w)
-        rhs = _log_kernel_sum(plane, us, ws)
-        worst = max(worst, lhs - rhs)
-        if lhs > rhs + tol:
-            bad += 1
-    return SuiteOutcome("riesz", instances, bad, worst, tol)
+    return _suite("riesz", instances, seed, 16, 1e-8, _riesz_pair,
+                  _log_kernel_sum)

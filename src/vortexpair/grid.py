@@ -201,6 +201,7 @@ class Grid:
 
     Attributes
     ----------
+    domain : the DomainSpec, or None on a plane grid
     h : cell width
     nx, ny : bounding-box cell counts
     x0, y0 : lower-left corner of the box
@@ -332,28 +333,18 @@ def plane_grid(spacing: float, half_cells: int) -> Grid:
     Used as the reference plane for symmetric-decreasing rearrangements
     and rescaled core profiles: 2*half_cells cells per side, no domain
     mask, cell layout symmetric under the reflections x -> -x, y -> -y.
+    Its `domain` is None: the plane has no boundary to measure against.
     """
     if half_cells < 1:
         raise ValueError("plane grid needs at least one cell ring")
     m = int(half_cells)
-    side = 2 * m * spacing
-    dom = DomainSpec(kind="plane", width=side, height=side)
     mask = np.ones((2 * m, 2 * m), dtype=bool)
-    return Grid(dom, spacing, -m * spacing, -m * spacing, 2 * m, 2 * m, mask)
+    return Grid(None, spacing, -m * spacing, -m * spacing, 2 * m, 2 * m, mask)
 
 
-def measure(grid: Grid, cells) -> float:
-    """Lebesgue measure of a cell set: count times h^2.
-
-    `cells` is either a boolean mask over flat ids or an array of ids.
-    """
-    cells = np.asarray(cells)
-    if cells.dtype == bool:
-        if cells.shape != (grid.ncells,):
-            raise ValueError("boolean cell mask has wrong length")
-        count = int(cells.sum())
-    else:
-        if cells.size and (cells.min() < 0 or cells.max() >= grid.ncells):
-            raise ValueError("cell ids out of range")
-        count = int(np.unique(cells).size)
-    return count * grid.cell_area
+def measure(grid: Grid, mask) -> float:
+    """Lebesgue measure of the cells of a boolean mask over flat ids: count times h^2."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (grid.ncells,):
+        raise ValueError("measure needs a boolean mask with one entry per cell")
+    return int(mask.sum()) * grid.cell_area

@@ -32,7 +32,7 @@ import numpy as np
 
 from .fields import (ScalarField, center_of_mass, lp_norm, negative_part,
                      positive_part, support_diameter)
-from .grid import Grid
+from .grid import DRAW_TRIES, Grid
 from .kirchhoff import kr_minimize, robin_scan_center
 from .poisson import PoissonSolver, solve_poisson, velocity
 
@@ -86,7 +86,6 @@ class Prototype:
     """Exact value multisets of the class on a specific grid."""
 
     spec: RearrangementSpec
-    h: float
     pos: np.ndarray  # descending, sums to kappa1 / h^2
     neg: np.ndarray  # magnitudes, descending, sums to -kappa2 / h^2
 
@@ -138,7 +137,7 @@ def make_prototype(spec: RearrangementSpec, grid: Grid) -> Prototype:
         neg = w2 * (-spec.kappa2 / (w2.sum() * h * h))
     else:
         neg = np.zeros(0)
-    return Prototype(spec=spec, h=h, pos=pos, neg=neg)
+    return Prototype(spec=spec, pos=pos, neg=neg)
 
 
 def place_prototype(grid: Grid, proto: Prototype, center_pos,
@@ -229,31 +228,29 @@ def _seed_field(solver: PoissonSolver, proto: Prototype, init):
             km = kr_minimize(solver, (spec.kappa1, spec.kappa2))
             return place_prototype(g, proto, km.points[0], km.points[1])
         return place_prototype(g, proto, robin_scan_center(solver))
-    kind = init[0] if isinstance(init, tuple) else init
-    if kind == "random":
-        # the negative center is drawn inside the positive one's acceptance
-        # test, so a pair closer than eps1 + eps2 + 4h is redrawn whole
-        rng = np.random.default_rng(init[1])
+    kind, arg = init if isinstance(init, tuple) and len(init) == 2 else (None, None)
+    if kind == "random" and isinstance(arg, (int, np.integer)):
+        # a pair closer than eps1 + eps2 + 4h is redrawn whole, positive first
+        rng = np.random.default_rng(arg)
         clear1, clear2 = (max(6.0 * g.h, eps + 2.0 * g.h)
                           for eps in (spec.eps1, spec.eps2))
         gap = spec.eps1 + spec.eps2 + 4 * g.h
-        partner = [None]
-
-        def partner_fits(c, r):
-            partner[0] = g.domain.draw_disk(rng, clear2, "random cores")[0]
-            return np.hypot(partner[0][0] - c[0], partner[0][1] - c[1]) >= gap
-
-        c, _ = g.domain.draw_disk(rng, clear1, "random cores",
-                                  accept=partner_fits if proto.n_neg else None)
-        return place_prototype(g, proto, c, partner[0])
-    if kind == "given":
-        f = init[1]
-        if f.grid is not g:
+        for _ in range(DRAW_TRIES):
+            c, _ = g.domain.draw_disk(rng, clear1, "random cores")
+            if not proto.n_neg:
+                return place_prototype(g, proto, c)
+            d, _ = g.domain.draw_disk(rng, clear2, "random cores")
+            if np.hypot(d[0] - c[0], d[1] - c[1]) >= gap:
+                return place_prototype(g, proto, c, d)
+        raise ValueError("could not place random cores inside the domain")
+    if kind == "given" and isinstance(arg, ScalarField):
+        if arg.grid is not g:
             raise ValueError("initial field lives on a different grid")
-        if not _in_class(proto, f):
+        if not _in_class(proto, arg):
             raise ValueError("initial field is not in the rearrangement class")
-        return f.copy()
-    raise ValueError(f"unknown init {init!r}")
+        return arg.copy()
+    raise ValueError(f"unknown init {init!r}: use 'kr_seed', ('random', int seed) "
+                     "or ('given', ScalarField)")
 
 
 def maximize(solver: PoissonSolver, spec: RearrangementSpec, init="kr_seed",
@@ -322,13 +319,13 @@ def lagrange_multipliers(zeta: ScalarField, psi: ScalarField):
     return float(psi.values[vp].min()), float(psi.values[vn].max())
 
 
-def monotone_map_check(zeta: ScalarField, psi: ScalarField,
-                       tol: float = 1e-10) -> int:
-    """Count cell pairs with psi_i > psi_j + tol but zeta_i < zeta_j - tol.
+def monotone_map_check(zeta: ScalarField, psi: ScalarField) -> int:
+    """Count cell pairs with psi_i > psi_j + 1e-10 but zeta_i < zeta_j - 1e-10.
 
     Zero means the field is a monotone function of its own stream
     function up to ties, the discrete sign of bathtub optimality.
     """
+    tol = 1e-10
     levels, rank, counts = np.unique(zeta.values, return_inverse=True,
                                      return_counts=True)
     # psi per zeta level, each group sorted ascending
@@ -366,26 +363,23 @@ def bump_on_grid(grid: Grid, center, radius: float) -> np.ndarray:
     return phi
 
 
-def cone_test_function(grid: Grid, center, radius: float, band: float = 0.25,
-                       cells=None):
+def cone_test_function(grid: Grid, center, radius: float, cells=None):
     """Mollified cone: unit apex, radial ramp, C^1-smoothed ends.
 
     The radial slope is 0 at the apex and the rim, constant -m on the
-    middle band, with linear transitions of relative width `band`; m is
+    middle band, with linear transitions of relative width 0.25; m is
     set so the apex value is 1.  The gradient magnitude is exactly m/r
     on the plateau, so the normalization max|grad phi| is attained on a
     full annulus rather than a single ring.  Returns (phi, dphi_x,
     dphi_y) sampled on the grid, or only at the flat ids `cells` if
     given: a cell gets the same bits either way.
     """
-    if not 0.0 < band < 0.5:
-        raise ValueError("band must lie in (0, 0.5)")
     xy = grid.cells_xy if cells is None else grid.cells_xy[cells]
     dx = xy[:, 0] - center[0]
     dy = xy[:, 1] - center[1]
     dist = np.hypot(dx, dy)
     s = dist / radius
-    a = band
+    a = 0.25
     m = 1.0 / (1.0 - a)
     # radial derivative q'(s) (nonpositive), then phi by exact integral
     slope = np.where(s < a, -m * s / a,

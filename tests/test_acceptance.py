@@ -9,6 +9,8 @@ zero-perturbation clause is known not to hold for the discontinuous
 patch profile at n = 128 (transporting a jump smears it over at least
 one cell, which already costs about 0.24 in relative L2); the test
 states the bound as specified and reports the measured value honestly.
+Two unnumbered oracles at the end check the expansion's constant terms
+on the same sweep; they print no ACCEPTANCE line.
 """
 
 import json
@@ -107,50 +109,55 @@ def test_acceptance_02_centered_patch_energy(solver256):
 
 
 def test_acceptance_03_energy_slopes(ref_sweep):
-    checks = vp.fit_energy_slope(ref_sweep, rel_tol=0.10)
+    checks = vp.fit_energy_slope(ref_sweep)
     ok = all(c.status == "pass" for c in checks)
     report(3, "energy slope vs -ln eps", ok,
            "; ".join(f"{c.name} {c.measured:.5f} vs {c.threshold:.5f}"
                      for c in checks) + ", rel tol 10%")
+    assert all(c.detail == "rel_tol=0.1" for c in checks)
     assert ok, [c.to_dict() for c in checks]
 
 
 def test_acceptance_04_interaction_bounded(ref_sweep):
-    checks = vp.interaction_boundedness(ref_sweep, rel_tol=0.05)
+    checks = vp.interaction_boundedness(ref_sweep)
     ok = all(c.status == "pass" for c in checks)
     report(4, "interaction positive and flat", ok,
            f"min I {checks[0].measured:.5f} > 0, "
            f"|slope| {abs(checks[1].measured):.6f} <= {checks[1].threshold:.6f}")
+    assert checks[1].threshold == pytest.approx(0.05 / (4 * math.pi), rel=1e-15)
     assert ok, [c.to_dict() for c in checks]
 
 
 def test_acceptance_05_core_size(ref_sweep):
-    check = vp.core_size_check(ref_sweep, lo=1.8, hi=4.0)[0]
+    check = vp.core_size_check(ref_sweep)[0]
     ratios = [r.diam_pos / r.eps1 for r in ref_sweep.records] + \
              [r.diam_neg / r.eps2 for r in ref_sweep.records]
     ok = check.status == "pass"
     report(5, "core diameter vs eps", ok,
            f"diam/eps in [{min(ratios):.3f}, {max(ratios):.3f}], "
            f"required within [1.8, 4.0]")
+    assert check.threshold == 4.0 and "(floor 1.8)" in check.detail
     assert ok, check.to_dict()
 
 
 def test_acceptance_06_core_location(ref_sweep):
-    checks = vp.center_convergence_check(ref_sweep, h_mult=3.0, noise=0.20)
+    checks = vp.center_convergence_check(ref_sweep)
     ok = all(c.status == "pass" for c in checks)
     report(6, "centers approach the point minimum", ok,
            f"signature distance {checks[0].measured:.2e} <= 3h = "
            f"{checks[0].threshold:.2e} at eps={ref_sweep.records[-1].eps1}, "
            f"trend factor {checks[1].measured:.3f} <= 1.2")
+    assert checks[0].threshold == 3.0 / 384 and checks[1].threshold == 1.2
     assert ok, [c.to_dict() for c in checks]
 
 
 def test_acceptance_07_multiplier_drift(ref_sweep):
-    checks = vp.multiplier_check(ref_sweep, spread_frac=0.5)
+    checks = vp.multiplier_check(ref_sweep)
     ok = all(c.status == "pass" for c in checks)
     report(7, "log-corrected multiplier spread", ok,
            "; ".join(f"{c.name} spread {c.measured:.2e} <= {c.threshold:.4f}"
                      for c in checks))
+    assert all(c.threshold == 0.5 / (2 * math.pi) for c in checks)
     assert ok, [c.to_dict() for c in checks]
 
 
@@ -179,12 +186,13 @@ def test_acceptance_09_ascent_invariant(ref_sweep):
 
 
 def test_acceptance_10_profile_convergence(ref_sweep):
-    checks = vp.profile_convergence(ref_sweep, final_tol=0.2, noise=0.20)
+    checks = vp.profile_convergence(ref_sweep)
     deltas = [r.delta_profile for r in ref_sweep.records]
     ok = all(c.status == "pass" for c in checks)
     report(10, "rescaled profile distance", ok,
            f"deltas {['%.4f' % d for d in deltas]}, final "
            f"{deltas[-1]:.4f} <= 0.2, trend within 20% noise")
+    assert checks[0].threshold == 0.2 and checks[1].threshold == 1.2
     assert ok, [c.to_dict() for c in checks]
 
 
@@ -219,14 +227,14 @@ def test_acceptance_12_rearrangement_suites():
 
 
 def test_acceptance_13_gradient_measure_growth(solver128):
-    gm = vp.gradient_measure_diagnostic(solver128, p=2.0, seed=0,
-                                        base_radius=0.4, scales=3)
+    gm = vp.gradient_measure_diagnostic(solver128, p=2.0, seed=0)
     growth = gm.growth()
     ok = growth <= 2.0
     report(13, "gradient-measure ratio across scales", ok,
            f"support radii {gm.radii.tolist()} (area factor 16), "
            f"max ratios {np.round(gm.max_ratio, 4).tolist()}, "
            f"growth {growth:.3f} <= 2")
+    assert gm.radii.tolist() == [0.4, 0.2, 0.1]
     assert ok
 
 
@@ -315,3 +323,84 @@ def test_acceptance_16_cli_determinism(tmp_path):
     report(16, "CLI reruns byte-identical", same,
            "steady and sweep outputs compared byte for byte")
     assert same
+
+
+# -- the paper's expansions as oracles ----------------------------------------
+#
+# For a patch pair the energy and the multipliers expand as (Turkington 1983,
+# "On steady vortex flow in two dimensions")
+#     E = sum_i kappa_i^2/(4 pi) (ln(1/eps) + 1/4) - W(x*) + o(1),
+#     d_i = mu_i + (kappa_i/2 pi) ln eps -> -dW/dkappa_i at x*.
+# Both oracles are restricted to the reference sweep's symmetric patch pair,
+# kappas (1, -1): there the constant 1/4 is the patch's own, and
+# -dW/dkappa_i = -kappa_i W* (W = (H1 + H2)/2 + G12), so d_pos -> -W* and
+# d_neg -> +W*.  W* is the sweep's own KR minimum, on its kr_n = 128 grid.
+#
+# Error inputs, measured by acceptance 1 and 2 at n = 256 (the sweep's
+# coarsest field grid), not by these oracles:
+ROBIN_ERR = 0.00211  # acceptance 1: worst Robin error for |x| <= 0.8
+PATCH_REL_ERR = 0.0019  # acceptance 2: centered patch energy, relative
+
+
+def _symmetric_patch_pair(result):
+    plan = result.plan
+    assert (plan.kappa1, plan.kappa2, plan.profile) == (1.0, -1.0, "patch")
+    return result.krmin.value
+
+
+def _w_err(n):
+    """Bound on the error of W = (H1 + H2)/2 + G12 at the pair on grid n.
+
+    Each H, and the regular part of G12, comes from the masked boundary, so
+    each is off by at most acceptance 1's Robin error, taken first order in
+    h below n = 256; the free-space part of G12 is the lattice kernel, off
+    by O(h^2 / |x1 - x2|^2), negligible at the pair's separation (about 1).
+    """
+    return 2.0 * ROBIN_ERR * max(1.0, 256 / n)
+
+
+def test_energy_constant_is_the_kr_minimum(ref_sweep):
+    """E - (1/2pi)(ln(1/eps) + 1/4) + W* -> 0 at every point.
+
+    The tolerance is the sum of the numerical errors.  The continuum
+    remainder is far smaller: a uniform disk meets the harmonic parts of G
+    as a point charge at its center, so only the cores' deformation and
+    their offset from x* enter, both at second order.
+    - The two self-energies, to acceptance 2's relative error:
+      2 * 0.0019 * (ln(1/eps) + 1/4)/(4 pi) <= 9.3e-4 for eps >= 0.06.
+    - W at the pair on the field grid (n >= 256): 0.0042.
+    - W* on the kr_n = 128 grid: 0.0084.
+    Together at most 0.0136.  Dropping the patch's 1/4 would move the
+    quantity by 1/(8 pi) = 0.040.
+    """
+    w_star = _symmetric_patch_pair(ref_sweep)
+    for rec in ref_sweep.records:
+        self_energy = (math.log(1.0 / rec.eps1) + 0.25) / (2.0 * math.pi)
+        tol = (PATCH_REL_ERR * self_energy + _w_err(rec.n)
+               + _w_err(ref_sweep.plan.kr_n))
+        assert abs(rec.energy - self_energy + w_star) <= tol, rec.eps1
+
+
+def test_multiplier_constants_are_the_kr_minimum(ref_sweep):
+    """d_pos -> -W* and d_neg -> +W* at every point.
+
+    The tolerance is the sum of the numerical errors:
+    - mu_i is psi at a cell center on the core's rim, within half a cell
+      diagonal, h/sqrt(2), of the radius-eps circle where the expansion
+      reads psi; psi falls off there as (1/2pi) ln(1/r), so this costs at
+      most (1/2pi)(h/sqrt(2))/eps <= 0.0049 for eps/h >= 23;
+    - the self part of psi on that circle, (1/2pi) ln(1/eps) <= 0.45, to
+      acceptance 2's relative error: 8.5e-4;
+    - H1 + G12 on the field grid: 0.0042, and W* on kr_n = 128: 0.0084.
+    Together at most 0.0184.
+    """
+    w_star = _symmetric_patch_pair(ref_sweep)
+    for rec in ref_sweep.records:
+        for mu, eps, kappa in ((rec.mu1, rec.eps1, 1.0),
+                               (rec.mu2, rec.eps2, -1.0)):
+            edge = 1.0 / (math.sqrt(2.0) * eps * rec.n) / (2.0 * math.pi)
+            self_psi = math.log(1.0 / eps) / (2.0 * math.pi)
+            tol = (edge + PATCH_REL_ERR * self_psi + _w_err(rec.n)
+                   + _w_err(ref_sweep.plan.kr_n))
+            d = mu + kappa / (2.0 * math.pi) * math.log(eps)
+            assert abs(d + kappa * w_star) <= tol, (eps, kappa, d)

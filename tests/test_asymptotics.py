@@ -187,6 +187,7 @@ def test_sweep_plan_validation(dom):
     (dict(eps=(0.2, 0.1)), "resolution rule eps/h >= 8 violated"),
     (dict(profile="gaussian"), "unknown profile"),
     (dict(profile="parabolic", gamma=0.0), "gamma > 0"),
+    (dict(eps=()), "at least one eps"),
 ])
 def test_sweep_plan_rejects_bad_ascent_settings_before_solving(
         dom, monkeypatch, kw, word):
@@ -246,9 +247,9 @@ def test_gradient_measure_rejects_p_one(disk64):
 
 
 def test_gradient_measure_shape_and_growth(disk64):
-    out = vp.gradient_measure_diagnostic(disk64, seed=3, scales=3, samples=4)
-    assert out.radii.shape == (3,)
-    assert np.allclose(out.radii, 0.4 / 2.0 ** np.arange(3))
+    out = vp.gradient_measure_diagnostic(disk64, seed=3)
+    assert out.radii.tolist() == [0.4, 0.2, 0.1]
+    assert out.samples == 6
     assert (out.max_ratio > 0).all()
     # scale invariance of the ratio: shrinking the support by 4x in area
     # must not let it blow up
@@ -259,7 +260,7 @@ def test_gradient_measure_rejects_unplaceable_support():
     # a 0.4 disk cannot fit in a strip of height 0.5
     strip = vp.PoissonSolver(vp.build_grid(vp.DomainSpec.rectangle(2.0, 0.5), 32))
     with pytest.raises(ValueError, match="could not place"):
-        vp.gradient_measure_diagnostic(strip, base_radius=0.4)
+        vp.gradient_measure_diagnostic(strip)
 
 
 def test_truncated_stream_gradient_oracle(disk96):

@@ -65,9 +65,9 @@ def test_support_diameter_two_cells(disk32):
     assert vp.support_diameter(vp.ScalarField(disk32, vals)) == 0.0
 
 
-def _diameter_all_pairs(f, threshold=0.0):
+def _diameter_all_pairs(f):
     """Reference: the O(k^2) sweep over every support cell."""
-    pts = f.grid.cells_xy[np.abs(f.values) > threshold]
+    pts = f.grid.cells_xy[f.values != 0.0]
     if pts.shape[0] < 2:
         return 0.0
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
@@ -95,8 +95,9 @@ def test_support_diameter_matches_all_pairs(grid, seed, blobs, level):
     else:  # scattered cells
         vals = rng.uniform(-1.0, 1.0, grid.ncells)
     threshold = level * np.abs(vals).max()
+    vals[np.abs(vals) <= threshold] = 0.0  # the support is where f is nonzero
     f = vp.ScalarField(grid, vals)
-    assert vp.support_diameter(f, threshold) == _diameter_all_pairs(f, threshold)
+    assert vp.support_diameter(f) == _diameter_all_pairs(f)
 
 
 def test_rearrangement_preserves_multiset(disk32):

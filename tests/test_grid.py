@@ -16,13 +16,13 @@ def test_disk_grid_basic_geometry():
     r = np.hypot(g.cells_xy[:, 0], g.cells_xy[:, 1])
     assert np.all(r < 1.0)
     # cell count approximates the disk area
-    assert vp.measure(g, np.arange(g.cells_xy.shape[0])) == pytest.approx(np.pi, rel=0.02)
+    assert vp.measure(g, np.ones(g.ncells, dtype=bool)) == pytest.approx(np.pi, rel=0.02)
 
 
 def test_rectangle_grid_cell_count():
     g = vp.build_grid(vp.DomainSpec.rectangle(1.0, 0.5), 32)
     # interior cell centers tile the rectangle exactly
-    assert vp.measure(g, np.arange(g.cells_xy.shape[0])) == pytest.approx(0.5, rel=0.05)
+    assert vp.measure(g, np.ones(g.ncells, dtype=bool)) == pytest.approx(0.5, rel=0.05)
     assert np.all(g.cells_xy[:, 0] > 0.0) or np.all(g.cells_xy[:, 0] < 1.0)
 
 
@@ -48,7 +48,7 @@ def test_polygon_validation():
 def test_polygon_grid_triangle():
     dom = vp.DomainSpec.polygon([(0, 0), (1, 0), (0.5, 1.0)])
     g = vp.build_grid(dom, 32)
-    assert vp.measure(g, np.arange(g.cells_xy.shape[0])) == pytest.approx(0.5, rel=0.1)
+    assert vp.measure(g, np.ones(g.ncells, dtype=bool)) == pytest.approx(0.5, rel=0.1)
     inside = dom.contains(g.cells_xy[:, 0], g.cells_xy[:, 1])
     assert np.all(inside)
 
@@ -98,10 +98,20 @@ def test_boundary_clearance_bounds():
 def test_plane_grid_symmetry_and_area():
     g = vp.plane_grid(0.05, 10)
     assert g.cells_xy.shape[0] == 400
-    assert vp.measure(g, np.arange(g.cells_xy.shape[0])) == pytest.approx(1.0, rel=1e-12)
+    assert vp.measure(g, np.ones(g.ncells, dtype=bool)) == pytest.approx(1.0, rel=1e-12)
     # centers come in +/- pairs
     s = {(round(x, 12), round(y, 12)) for x, y in g.cells_xy}
     assert all((-x, -y) in s for x, y in s)
+
+
+def test_measure_takes_a_mask_and_plane_grids_have_no_domain():
+    g = vp.plane_grid(0.05, 10)
+    assert g.domain is None
+    half = np.arange(g.ncells) < 200
+    assert vp.measure(g, half) == pytest.approx(0.5, rel=1e-12)
+    for cells in (np.arange(200), half[:-1], half.astype(float)):
+        with pytest.raises(ValueError, match="boolean mask"):
+            vp.measure(g, cells)
 
 
 def test_box_image_shape():

@@ -69,8 +69,7 @@ def test_best_response_brute_force():
     assert n == 24
     spec = vp.RearrangementSpec(eps1=0.03, eps2=0.03, kappa1=1.0,
                                 kappa2=-0.5)
-    proto = vp.Prototype(spec=spec, h=g.h,
-                         pos=np.array([30.0, 20.0]),
+    proto = vp.Prototype(spec=spec, pos=np.array([30.0, 20.0]),
                          neg=np.array([25.0, 10.0]))
     # every ordered pair of cells, scored once per sign; a placement is a
     # (positive pair, negative pair) entry of the table with no shared cell
@@ -91,8 +90,7 @@ def test_best_response_constant_psi():
     g = vp.build_grid(vp.DomainSpec.rectangle(0.375, 0.25), 16)
     spec = vp.RearrangementSpec(eps1=0.03, eps2=0.03, kappa1=1.0,
                                 kappa2=-0.5)
-    proto = vp.Prototype(spec=spec, h=g.h,
-                         pos=np.array([30.0, 20.0]),
+    proto = vp.Prototype(spec=spec, pos=np.array([30.0, 20.0]),
                          neg=np.array([25.0, 10.0]))
     psi = vp.ScalarField(g, np.zeros(g.ncells))
     out = vp.best_response(proto, psi)
@@ -187,8 +185,8 @@ def test_random_init_redraws_both_cores(seed, monkeypatch):
     st = vp.maximize(_TIGHT_RECT, spec, init=("random", seed),
                      residual_tests=0)
     assert st.converged and st.monotone_violations == 0
-    # the positive draw returns last: its acceptance test drew the partner
-    (neg, r2), (pos, r1) = draws[-2:]
+    # the last two draws are the accepted pair, positive first
+    (pos, r1), (neg, r2) = draws[-2:]
     clear = 0.25 + 2.0 * g.h
     assert r1 == r2 == clear
     assert g.domain.boundary_distance(*pos) >= clear
@@ -307,11 +305,6 @@ def test_cone_test_function_shape(disk96):
     assert np.abs(np.hypot(gx[ramp], gy[ramp]) - m / 0.25).max() <= 1e-9
 
 
-def test_cone_band_validation(disk96):
-    with pytest.raises(ValueError):
-        vp.cone_test_function(disk96.grid, (0.0, 0.0), 0.2, band=0.6)
-
-
 def test_residual_vanishes_away_from_support(pair_state_96, disk96):
     # direct weak-form sum with a cone supported in quiescent fluid
     g = disk96.grid
@@ -410,6 +403,17 @@ def test_h2_norm_identity(disk96):
     assert vp.lp_norm(zp, 2.0) == pytest.approx(exact, rel=0.01)
 
 
+@pytest.mark.parametrize("init", [
+    "random", ("random",), ("given",), ("random", 1.5), ("given", np.zeros(3)),
+    ("random", 1, 2), "kr"])
+def test_maximize_rejects_malformed_init(disk64, init):
+    spec = vp.RearrangementSpec(eps1=0.15, eps2=0.15, kappa1=1.0,
+                                kappa2=-1.0)
+    with pytest.raises(ValueError, match=r"unknown init .*'kr_seed', "
+                       r"\('random', int seed\) or \('given', ScalarField\)"):
+        vp.maximize(disk64, spec, init=init, residual_tests=0)
+
+
 def test_given_init_must_be_in_class(disk96):
     g = disk96.grid
     spec = vp.RearrangementSpec(eps1=0.12, eps2=0.12, kappa1=1.0,
@@ -436,7 +440,7 @@ def test_best_response_stays_in_class(data):
     psi = data.draw(strategies.lists(
         strategies.sampled_from([-1.0, -0.0, 0.0, 0.25, 3.0]), min_size=n, max_size=n))
     spec = vp.RearrangementSpec(eps1=0.1, eps2=0.1, kappa1=1.0, kappa2=-1.0)
-    proto = vp.Prototype(spec=spec, h=_SMALL.h, pos=np.array(pos, dtype=float),
+    proto = vp.Prototype(spec=spec, pos=np.array(pos, dtype=float),
                          neg=np.array(neg, dtype=float))
     out = vp.best_response(proto, vp.ScalarField(_SMALL, np.array(psi)))
     assert _in_class(proto, out)

@@ -32,6 +32,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,14 +73,39 @@ def _quartiles(xs):
     return q[0], q[2]
 
 
-def _paired(sides: dict, key: str) -> list:
-    """(change, parent) values of metric `key`, pair by pair."""
-    return [(a["metrics"][key]["value"], b["metrics"][key]["value"])
-            for a, b in zip(sides["change"], sides["parent"])
-            if key in a["metrics"] and key in b["metrics"]]
+class Summary(NamedTuple):
+    """One metric over the pairs with a sample on both sides."""
+    pairs: int
+    wins: int  # pairs the change won strictly; a tie counts for neither side
+    median: float
+    parent_median: float
+    quartiles: tuple
+    parent_quartiles: tuple
+    gain: float  # parent median - change median, positive when better
+
+
+def _summary(sides: dict, metric: dict) -> Summary | None:
+    """The Summary of `metric` over these pairs; None without samples."""
+    key = metric["name"]
+    pairs = [(a["metrics"][key]["value"], b["metrics"][key]["value"])
+             for a, b in zip(sides["change"], sides["parent"])
+             if key in a["metrics"] and key in b["metrics"]]
+    if not pairs:
+        return None
+    sign = 1 if metric["better"] == "lower" else -1
+    new, old = [p[0] for p in pairs], [p[1] for p in pairs]
+    mn, mo = statistics.median(new), statistics.median(old)
+    return Summary(len(pairs), sum(sign * (b - a) > 0 for a, b in pairs),
+                   mn, mo, _quartiles(new), _quartiles(old), sign * (mo - mn))
 
 
 MIN_PAIRS = 10
+
+
+def _met(s: Summary) -> bool:
+    q1, q3 = s.parent_quartiles
+    return (s.pairs >= MIN_PAIRS and 10 * s.wins >= 9 * s.pairs
+            and s.gain > q3 - q1)
 
 
 def claim_met(sides: dict, metric: dict) -> bool:
@@ -90,15 +116,8 @@ def claim_met(sides: dict, metric: dict) -> bool:
     median must beat the parent's by more than the parent's
     interquartile range q3 - q1.
     """
-    pairs = _paired(sides, metric["name"])
-    if len(pairs) < MIN_PAIRS:
-        return False
-    sign = 1 if metric["better"] == "lower" else -1
-    wins = sum(sign * (b - a) > 0 for a, b in pairs)
-    new, old = [p[0] for p in pairs], [p[1] for p in pairs]
-    q1, q3 = _quartiles(old)
-    gain = sign * (statistics.median(old) - statistics.median(new))
-    return 10 * wins >= 9 * len(pairs) and gain > q3 - q1
+    s = _summary(sides, metric)
+    return s is not None and _met(s)
 
 
 def compare(workload: str, sides: dict, bounds: list[dict]) -> bool:
@@ -112,27 +131,25 @@ def compare(workload: str, sides: dict, bounds: list[dict]) -> bool:
         print(f"#   pair {k + 1}: change {_load(a)}; parent {_load(b)}")
     worse_any = False
     for m in bounds:
-        key, lower = m["name"], m["better"] == "lower"
-        pairs = _paired(sides, key)
-        if not pairs:
+        key = m["name"]
+        s = _summary(sides, m)
+        if s is None:
             print(f"#   {key}: no samples")
             continue
-        new, old = [p[0] for p in pairs], [p[1] for p in pairs]
-        wins = sum((a < b) if lower else (a > b) for a, b in pairs)
-        mn, mo = statistics.median(new), statistics.median(old)
+        mn, mo = s.median, s.parent_median
         if mo:
             change = (mn - mo) / abs(mo)
         else:
             change = math.copysign(math.inf, mn - mo) if mn != mo else 0.0
-        worse = (change if lower else -change) > m["bound"]
+        worse = (change if m["better"] == "lower" else -change) > m["bound"]
         worse_any |= worse
-        (n1, n3), (o1, o3) = _quartiles(new), _quartiles(old)
-        claim = "met" if claim_met(sides, m) else "not met"
-        if len(pairs) < MIN_PAIRS:
-            claim += f" ({len(pairs)} pairs, need {MIN_PAIRS})"
+        (n1, n3), (o1, o3) = s.quartiles, s.parent_quartiles
+        claim = "met" if _met(s) else "not met"
+        if s.pairs < MIN_PAIRS:
+            claim += f" ({s.pairs} pairs, need {MIN_PAIRS})"
         print(f"#   {key:12s} change {mn:.6g} [{n1:.6g}, {n3:.6g}]  "
               f"parent {mo:.6g} [{o1:.6g}, {o3:.6g}]  "
-              f"won {wins}/{len(pairs)}  rel {change:+.3e}  "
+              f"won {s.wins}/{s.pairs}  rel {change:+.3e}  "
               f"bound {m['bound']:.0%}: {'WORSE' if worse else 'ok'}  "
               f"claim {claim}")
     return worse_any
