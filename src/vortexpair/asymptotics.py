@@ -100,7 +100,7 @@ class SweepRecord:
 @dataclass
 class SweepResult:
     plan: SweepPlan
-    records: list
+    records: list  # one per eps of the plan (never empty), eps-descending
     states: list
     krmin: KRMinimum
     kr_signature: np.ndarray
@@ -283,7 +283,7 @@ def interaction_boundedness(result: SweepResult):
     neg = [r for r in recs if r.interaction <= 0]
     out.append(CheckResult(
         "interaction_positive", "pass" if not neg else "fail",
-        min(r.interaction for r in recs) if recs else None, 0.0,
+        min(r.interaction for r in recs), 0.0,
         f"{len(neg)} nonpositive records"))
     if len(recs) < 2:
         out.append(CheckResult("interaction_slope", "insufficient", None,
@@ -304,9 +304,6 @@ def core_size_check(result: SweepResult):
     for r in result.records:
         ratios.append(r.diam_pos / r.eps1)
         ratios.append(r.diam_neg / r.eps2)
-    if not ratios:
-        return [CheckResult("core_size", "insufficient", None, hi,
-                            "insufficient points")]
     ok = min(ratios) >= lo and max(ratios) <= hi
     return [CheckResult("core_size", "pass" if ok else "fail",
                         max(ratios), hi,
@@ -316,9 +313,6 @@ def core_size_check(result: SweepResult):
 def center_convergence_check(result: SweepResult):
     """Signature distance to the KR minimum: within 3h at the end, shrinking."""
     recs = result.records
-    if not recs:
-        return [CheckResult("center_convergence", "insufficient", None, None,
-                            "insufficient points")]
     dom = result.plan.domain
     dists = [signature_distance(signature(r.center_pos, r.center_neg, dom),
                                 result.kr_signature) for r in recs]
@@ -359,11 +353,7 @@ def multiplier_check(result: SweepResult):
 def profile_convergence(result: SweepResult):
     """Profile distance within 0.2 at the smallest eps, shrinking."""
     final_tol = 0.2
-    recs = result.records
-    if not recs:
-        return [CheckResult("profile_convergence", "insufficient", None,
-                            final_tol, "insufficient points")]
-    deltas = [r.delta_profile for r in recs]
+    deltas = [r.delta_profile for r in result.records]
     ok = deltas[-1] <= final_tol
     return [CheckResult("profile_final", "pass" if ok else "fail", deltas[-1],
                         final_tol, "delta at smallest eps"),
@@ -437,17 +427,15 @@ def gradient_measure_diagnostic(solver: PoissonSolver, p: float = 2.0,
             psi = solver.solve(f)
             cut = rng.uniform(0.2, 0.8) * psi.max()
             u = np.maximum(psi - cut, 0.0)
+            # psi = G f peaks on supp f (discrete maximum principle) above the
+            # cut, so {u > 0} holds a cell where f > 0, and no divisor is 0
             pos = u > 0
-            if not pos.any():
-                continue
             # |v| = |grad u|: the velocity is the gradient turned by 90 degrees
             v = velocity(solver, ScalarField(g, u))
             grad2 = math.sqrt(float((v.u1 * v.u1 + v.u2 * v.u2).sum())
                               * g.cell_area)
             lap_p = float((f[pos] ** p).sum() * g.cell_area) ** (1.0 / p)
             msr = measure(g, pos)
-            if lap_p == 0.0:
-                continue
             best = max(best, grad2 / (lap_p * msr ** (1.0 / pconj)))
         maxes[si] = best
     return GradientMeasureResult(radii=radii, max_ratio=maxes, samples=samples)

@@ -144,7 +144,7 @@ def rescale_profile(f: ScalarField, eps: float, center) -> ScalarField:
         raise ValueError("eps must be positive")
     g = f.grid
     hp = g.h / eps
-    plane = plane_grid(hp, max(int(math.ceil(2.0 / hp)), 1))
+    plane = plane_grid(hp, int(math.ceil(2.0 / hp)))
     px = plane.cells_xy[:, 0] * eps + center[0]
     py = plane.cells_xy[:, 1] * eps + center[1]
     return ScalarField(plane, g.read_at(g.ring_image(f.values), px, py) * eps * eps)

@@ -32,7 +32,12 @@ evaluation paths coexist on purpose:
 
 Positions handed to the solve-backed functions are snapped to the
 containing cell; margins (4h for values, 6h for gradients and descent)
-are enforced against the exact domain geometry.
+are enforced against the exact domain geometry.  They keep every cell
+these functions read on the mask: a cell is a mask cell iff its center
+is inside, a point lies within h/sqrt(2) of its cell's center, and
+boundary distance is 1-Lipschitz.  So a point 4h clear locates to a mask
+cell, and the 2-cell compass probes of a point 6h clear are more than
+3h clear.
 """
 
 from __future__ import annotations
@@ -197,35 +202,24 @@ def _check_clearance(solver: PoissonSolver, pts: np.ndarray, margin: float) -> N
 
 
 def _snapped_cells(solver: PoissonSolver, pts: np.ndarray, margin: float) -> np.ndarray:
-    """Cells containing `pts`, after `_check_clearance`."""
+    """Cells containing `pts`, after `_check_clearance`; `margin` >= 4h."""
     _check_clearance(solver, pts, margin)
-    ids = solver.grid.locate(pts[:, 0], pts[:, 1])
-    if (np.asarray(ids) < 0).any():
-        raise ValueError("vortex position outside the domain")
-    return np.atleast_1d(ids).astype(int)
+    return np.atleast_1d(solver.grid.locate(pts[:, 0], pts[:, 1])).astype(int)
 
 
 def _compass_values(solver: PoissonSolver, cells: np.ndarray, kappas) -> np.ndarray:
     """W with each vortex moved 2 cells left, right, down and up, shape (k, 4).
 
     One `rows` call (cells, then probes) and one `values` call on a (k, k, 4)
-    row stack.  A coordinate with a probe off the mask solves neither of its
-    probes, and both read NaN.
+    row stack.  The cells' points must be 6h clear, so every probe is a
+    mask cell.
     """
-    g = solver.grid
     k = cells.size
-    probes = g.compass(cells, 2)
-    ok = probes >= 0
-    ok &= ok[:, [1, 0, 3, 2]]
     store = _store(solver)
-    rows = store.rows(solver, np.concatenate([cells, probes[ok]]))
-    moved = np.repeat(rows[:k, None], 4, axis=1)
-    moved[ok] = rows[k:]
+    rows = store.rows(solver, np.concatenate([cells, solver.grid.compass(cells, 2).ravel()]))
     stack = np.broadcast_to(rows[:k, None, None], (k, k, 4)).copy()
-    stack[np.arange(k), np.arange(k)] = moved  # stack[j, i, d]: vortex j
-    w = store.values(tuple(stack), kappas)
-    w[~ok] = np.nan
-    return w
+    stack[np.arange(k), np.arange(k)] = rows[k:].reshape(k, 4)  # stack[j, i, d]: vortex j
+    return store.values(tuple(stack), kappas)
 
 
 def kr_value(solver: PoissonSolver, cfg: KRConfiguration) -> float:
@@ -243,8 +237,6 @@ def kr_gradient(solver: PoissonSolver, cfg: KRConfiguration) -> np.ndarray:
     h = solver.grid.h
     w = _compass_values(solver, _snapped_cells(solver, cfg.points, 6.0 * h),
                         cfg.kappas)
-    if np.isnan(w).any():
-        raise ValueError("gradient stencil leaves the domain")
     return (w[:, 1::2] - w[:, 0::2]) / (2.0 * (2.0 * h))
 
 
@@ -262,10 +254,6 @@ def _lattice(g):
 
 def _scan_lattice(solver: PoissonSolver, margin_h: float) -> np.ndarray:
     """Lattice sites with clearance >= margin_h cells, in row-major (y, x) order."""
-    # boundary distance is 1-Lipschitz, so above 2h a site's 2-cell probes
-    # are mask cells (descent iterates, snapped up to h/sqrt(2) nearer, may not)
-    if not margin_h > 2:
-        raise ValueError(f"margin_h must be > 2 cells (got {margin_h!r})")
     ids, clear = _lattice(solver.grid)
     keep = (ids >= 0) & (clear >= margin_h * solver.grid.h)
     return ids.T[keep.T]
@@ -400,16 +388,17 @@ def _parabolic_refine(solver, p0, cells0, kappas, w0):
     lo, hi = w[:, 0::2], w[:, 1::2]
     refined = p0.astype(float).copy()
     for (i, c), curv in np.ndenumerate(hi - 2.0 * w0 + lo):
-        if curv > 0:  # false for NaN too: a probe off the mask
+        if curv > 0:
             delta = 0.5 * (lo[i, c] - hi[i, c]) / curv * (2.0 * h)
             refined[i, c] += float(np.clip(delta, -h, h))
     return refined
 
 
-def robin_scan_center(solver: PoissonSolver, margin_h: float = 6.0) -> np.ndarray:
+def robin_scan_center(solver: PoissonSolver) -> np.ndarray:
     """Scan-lattice site of least Robin value: the single-signed KR seed,
-    the first in scan order within `_TIE` of the least."""
-    sites = _scan_lattice(solver, margin_h)
+    the first in scan order within `_TIE` of the least, among the sites 6h
+    clear of the boundary (`kr_minimize`'s default margin)."""
+    sites = _scan_lattice(solver, 6.0)
     if not len(sites):
         raise ValueError("domain too small for the scan lattice")
     store = _store(solver)

@@ -77,3 +77,26 @@ def test_each_pair_prints_both_sides_load(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "#   pair 1: change load 0.50/0.25/0.12 -> 1.00/0.50/0.25; parent load ?" in lines
     assert "#   pair 2: change load ?; parent load ?" in lines
+
+
+def _verdict(capsys, change, parent):
+    runs = sides(change, parent)
+    for r in runs["change"] + runs["parent"]:
+        r.update(attempted=1, failed=0)
+    worse = bench_pairs.compare("w", runs, [LOWER])
+    line = capsys.readouterr().out.splitlines()[-1]
+    return worse, line.split("bound 25%: ")[1].split()[0]
+
+
+def test_spread_wider_than_the_bound_is_unresolved(capsys):
+    # the parent's (q3 - q1) / median is about 0.5, above the 25% bound
+    wide = [6.0, 14.0, 8.0, 12.0, 10.0, 7.0, 13.0, 9.0, 11.0, 10.0]
+    assert _verdict(capsys, [v + 0.5 for v in wide], wide) == (False, "unresolved")
+    assert _verdict(capsys, [v + 5.0 for v in wide], wide) == (True, "WORSE")
+    assert _verdict(capsys, PARENT, PARENT) == (False, "ok")
+
+
+def test_spread_is_resolved_when_every_change_run_wins(capsys):
+    wide = [6.0, 14.0, 8.0, 12.0, 10.0, 7.0, 13.0, 9.0, 11.0, 10.0]
+    assert _verdict(capsys, [5.9] * 10, wide) == (False, "ok")
+    assert _verdict(capsys, [5.9] * 9 + [6.0], wide) == (False, "unresolved")

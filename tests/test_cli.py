@@ -57,37 +57,6 @@ def test_malformed_config_reports_line(tmp_path, capsys):
     assert "line" in err
 
 
-def test_missing_required_option(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[grid]\nn = 64\n")
-    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "missing [steady] eps1" in capsys.readouterr().err
-
-
-def test_unparseable_value(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[steady]\neps1 = tiny\n")
-    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "cannot parse" in capsys.readouterr().err
-
-
-def test_unknown_domain_kind(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[domain]\nkind = annulus\n[steady]\neps1 = 0.15\n")
-    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "unknown kind" in capsys.readouterr().err
-
-
-def test_resolution_rule_enforced(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[grid]\nn = 64\n[steady]\neps1 = 0.05\n")
-    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "resolution rule eps/h >= 8 violated" in err
-
-
-def test_grid_too_coarse(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[grid]\nn = 8\n[steady]\neps1 = 0.5\n")
-    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "n >= 16" in capsys.readouterr().err
-
-
 def test_single_signed_kr_seed_without_scan_sites(tmp_path, capsys):
     # a 16 x 16-cell square has no lattice site 6h clear of its boundary
     cfg = write_cfg(tmp_path, """
@@ -109,110 +78,6 @@ def test_single_signed_kr_seed_without_scan_sites(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("command,text,key", [
-    ("sweep", "[sweep]\neps = 0.15\nn = 64\nkr_n = 8\n", "[sweep] kr_n"),
-    ("diagnose", "[diagnose]\nn = 8\ninstances = 5\n", "[diagnose] n"),
-], ids=["sweep", "diagnose"])
-def test_secondary_grid_too_coarse_names_key(tmp_path, capsys, command, text, key):
-    cfg = write_cfg(tmp_path, text)
-    out = tmp_path / "o"
-    assert run([command, "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert f"{key}: grid too coarse" in err and "n >= 16" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command,text,key", [
-    ("steady", STEADY_CFG.replace("residual_tests = 2", "residual_tests = -3"),
-     "[steady] residual_tests"),
-    ("sweep", "[sweep]\neps = 0.15\nn = 64\nkr_n = 48\nresidual_tests = -3\n",
-     "[sweep] residual_tests"),
-], ids=["steady", "sweep"])
-def test_negative_residual_tests_exits_1(tmp_path, capsys, command, text, key):
-    cfg = write_cfg(tmp_path, text)
-    out = tmp_path / "o"
-    assert run([command, "--config", cfg, "--out", str(out)]) == 1
-    assert f"{key}: must be >= 0" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_krmin_sign_regime(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[grid]\nn = 64\n[vortex]\nkappa1 = -1\nkappa2 = 1\n")
-    assert run(["krmin", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "kappa1 > 0 > kappa2" in capsys.readouterr().err
-
-
-def test_evolve_mode_validation(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[evolve]\nmode = magic\n")
-    assert run(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "unknown mode" in capsys.readouterr().err
-
-
-def test_evolve_perturbation_range(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, """
-        [grid]
-        n = 64
-        [steady]
-        eps1 = 0.2
-        [evolve]
-        mode = pde
-        delta0_rel = 0.5
-    """)
-    assert run(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "delta0_rel" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("T, stride, dt, word", [
-    ("0.01", "0", "1e-3", "save_stride"), ("0.01", "-5", "1e-3", "save_stride"),
-    ("inf", "1", "1e-3", "finite"), ("0.01", "1", "nan", "finite"),
-    ("4e-4", "1", "1e-3", "half a step")])
-def test_evolve_pv_bad_inputs(tmp_path, capsys, T, stride, dt, word):
-    cfg = write_cfg(tmp_path, f"""
-        [grid]
-        n = 64
-        [evolve]
-        mode = pv
-        positions = 0.45,0 ; -0.45,0
-        T = {T}
-        dt = {dt}
-        save_stride = {stride}
-    """)
-    assert run(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert word in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key, value, word", [
-    ("dt", "0", "dt"), ("dt", "-1e-3", "dt"), ("turnovers", "inf", "turnovers"),
-    ("records", "0", "records")])
-def test_evolve_pde_bad_inputs(tmp_path, capsys, key, value, word):
-    cfg = write_cfg(tmp_path, f"""
-        [grid]
-        n = 64
-        [steady]
-        eps1 = 0.2
-        [evolve]
-        mode = pde
-        {key} = {value}
-    """)
-    assert run(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert word in capsys.readouterr().err
-    assert not (tmp_path / "stability.csv").exists()
-
-
-def test_krmin_rejects_zero_starts(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[grid]\nn = 64\n[kr]\nstarts = 0\n")
-    assert run(["krmin", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "starts" in capsys.readouterr().err
-    assert not (tmp_path / "krmin.json").exists()
-
-
-def test_krmin_rejects_small_margin(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[grid]\nn = 64\n[kr]\nmargin_h = 1\n")
-    assert run(["krmin", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "margin_h" in capsys.readouterr().err
-    assert not (tmp_path / "krmin.json").exists()
-
-
 def test_solve_error_exits_2(tmp_path, capsys, monkeypatch):
     def stalled(self, rhs):
         raise SolveError("poisson solve stalled: test")
@@ -223,52 +88,6 @@ def test_solve_error_exits_2(tmp_path, capsys, monkeypatch):
     assert "poisson solve stalled" in capsys.readouterr().err
 
 
-def test_steady_non_finite_strength_exits_1(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, """
-        [grid]
-        n = 32
-        [vortex]
-        kappa1 = inf
-        [steady]
-        eps1 = 0.25
-        init = random
-        residual_tests = 0
-    """)
-    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "kappa1 must be finite" in capsys.readouterr().err
-    assert not (tmp_path / "steady.json").exists()
-
-
-@pytest.mark.parametrize("command, text, key", [
-    ("steady", "[grid]\nn = 64\n[steady]\neps1 = inf\n", "[steady] eps1"),
-    ("steady", "[grid]\nn = 64\n[steady]\neps1 = 0.15\neps2 = nan\n",
-     "[steady] eps2"),
-    ("evolve", "[grid]\nn = 64\n[steady]\neps1 = nan\n[evolve]\nmode = pde\n",
-     "[steady] eps1"),
-    ("sweep", "[sweep]\neps = 0.15 inf\nn = 64\n", "[sweep] eps"),
-], ids=["steady_eps1", "steady_eps2", "evolve_eps1", "sweep_eps"])
-def test_non_finite_eps_exits_1(tmp_path, capsys, command, text, key):
-    cfg = write_cfg(tmp_path, text)
-    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert f"{key}: must be finite" in err
-
-
-@pytest.mark.parametrize("command, text", [
-    ("krmin", "[grid]\nn = 48\n[vortex]\nkappa1 = inf\n"),
-    ("evolve", "[grid]\nn = 48\n[vortex]\nkappa2 = nan\n[evolve]\nmode = pv\n"
-               "positions = 0.4,0 ; -0.4,0\nT = 0.01\n"),
-    ("evolve", "[grid]\nn = 48\n[evolve]\nmode = pv\n"
-               "positions = nan,0 ; -0.4,0\nT = 0.01\n"),
-], ids=["krmin_kappa1", "pv_kappa2", "pv_position"])
-def test_point_vortex_non_finite_exits_1(tmp_path, capsys, command, text):
-    cfg = write_cfg(tmp_path, text)
-    out = tmp_path / "o"
-    assert run([command, "--config", cfg, "--out", str(out)]) == 1
-    assert "finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_jobs_only_on_sweep(tmp_path, capsys):
     cfg = write_cfg(tmp_path, STEADY_CFG)
     assert run(["steady", "--config", cfg, "--out", str(tmp_path),
@@ -276,43 +95,174 @@ def test_jobs_only_on_sweep(tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_solver_tol_rejected(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, STEADY_CFG + "[solver]\ntol = 1e-11\n")
-    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "[solver] tol" in capsys.readouterr().err
+# -- configs rejected with exit 1 ---------------------------------------------
+
+def _rejected(command, text, *words, at_load=True):
+    """A config that `command` rejects with exit 1, naming `words` on stderr.
+
+    One rejected while the file loads leaves no output directory; one
+    rejected later leaves it empty."""
+    return command, text, words, at_load
 
 
-def test_steady_max_iter_below_one(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, STEADY_CFG + "max_iter = 0\n")
-    assert run(["steady", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "max_iter" in capsys.readouterr().err
+PV_CFG = """
+    [grid]
+    n = 64
+    [evolve]
+    mode = pv
+    positions = 0.45,0 ; -0.45,0
+    T = {T}
+    dt = {dt}
+    save_stride = {stride}
+"""
+
+PDE_CFG = """
+    [grid]
+    n = 64
+    [steady]
+    eps1 = 0.2
+    [evolve]
+    mode = pde
+    {key} = {value}
+"""
+
+# test name -> {case id: case}, None the id of a test with one case
+_REJECTED = {
+    "test_config_rejected_by_name": {
+        "key": _rejected(
+            "krmin", "[grid]\nn = 32\n[kr]\nmargin = 9\n[vortx]\nkappa1 = 3\n",
+            "[kr] margin: unknown key", "did you mean [kr] margin_h?"),
+        "section": _rejected(
+            "krmin", "[grid]\nn = 32\n[vortx]\nkappa1 = 3\n",
+            "[vortx] kappa1: unknown section", "did you mean [vortex]?"),
+        "empty_section": _rejected(
+            "krmin", "[grid]\nn = 32\n[vortx]\n",
+            "[vortx]: unknown section", "did you mean [vortex]?"),
+        "section_case": _rejected(
+            "krmin", "[Grid]\nn = 32\n",
+            "[Grid] n: unknown section", "did you mean [grid]?"),
+        "DEFAULT": _rejected(
+            "diagnose", "[DEFAULT]\nn = 40\n[diagnose]\nn = 32\ninstances = 5\n",
+            "[DEFAULT] n: unknown section"),
+        "other_command": _rejected(
+            "steady", STEADY_CFG + "[evolve]\ndelta0_rel = 0.5\n",
+            "[evolve] delta0_rel: perturbation must satisfy"),
+    },
+    "test_missing_required_option": {None: _rejected(
+        "steady", "[grid]\nn = 64\n", "missing [steady] eps1", at_load=False)},
+    "test_unparseable_value": {None: _rejected(
+        "steady", "[steady]\neps1 = tiny\n", "cannot parse")},
+    "test_unknown_domain_kind": {None: _rejected(
+        "steady", "[domain]\nkind = annulus\n[steady]\neps1 = 0.15\n", "unknown kind")},
+    "test_resolution_rule_enforced": {None: _rejected(
+        "steady", "[grid]\nn = 64\n[steady]\neps1 = 0.05\n",
+        "resolution rule eps/h >= 8 violated", at_load=False)},
+    "test_grid_too_coarse": {None: _rejected(
+        "steady", "[grid]\nn = 8\n[steady]\neps1 = 0.5\n", "n >= 16")},
+    "test_secondary_grid_too_coarse_names_key": {
+        "sweep": _rejected("sweep", "[sweep]\neps = 0.15\nn = 64\nkr_n = 8\n",
+                           "[sweep] kr_n: grid too coarse", "n >= 16"),
+        "diagnose": _rejected("diagnose", "[diagnose]\nn = 8\ninstances = 5\n",
+                              "[diagnose] n: grid too coarse", "n >= 16"),
+    },
+    "test_negative_residual_tests_exits_1": {
+        "steady": _rejected(
+            "steady", STEADY_CFG.replace("residual_tests = 2", "residual_tests = -3"),
+            "[steady] residual_tests: must be >= 0"),
+        "sweep": _rejected(
+            "sweep", "[sweep]\neps = 0.15\nn = 64\nkr_n = 48\nresidual_tests = -3\n",
+            "[sweep] residual_tests: must be >= 0"),
+    },
+    "test_krmin_sign_regime": {None: _rejected(
+        "krmin", "[grid]\nn = 64\n[vortex]\nkappa1 = -1\nkappa2 = 1\n",
+        "kappa1 > 0 > kappa2", at_load=False)},
+    "test_krmin_rejects_zero_starts": {None: _rejected(
+        "krmin", "[grid]\nn = 64\n[kr]\nstarts = 0\n", "starts")},
+    "test_krmin_rejects_small_margin": {None: _rejected(
+        "krmin", "[grid]\nn = 64\n[kr]\nmargin_h = 1\n", "margin_h")},
+    "test_evolve_mode_validation": {None: _rejected(
+        "evolve", "[evolve]\nmode = magic\n", "unknown mode")},
+    "test_evolve_perturbation_range": {None: _rejected(
+        "evolve", PDE_CFG.format(key="delta0_rel", value="0.5"), "delta0_rel")},
+    "test_evolve_pv_bad_inputs": {
+        "0.01-0-1e-3-save_stride": _rejected(
+            "evolve", PV_CFG.format(T="0.01", stride="0", dt="1e-3"), "save_stride"),
+        "0.01--5-1e-3-save_stride": _rejected(
+            "evolve", PV_CFG.format(T="0.01", stride="-5", dt="1e-3"), "save_stride"),
+        "inf-1-1e-3-finite": _rejected(
+            "evolve", PV_CFG.format(T="inf", stride="1", dt="1e-3"), "finite"),
+        "0.01-1-nan-finite": _rejected(
+            "evolve", PV_CFG.format(T="0.01", stride="1", dt="nan"), "finite"),
+        "4e-4-1-1e-3-half a step": _rejected(
+            "evolve", PV_CFG.format(T="4e-4", stride="1", dt="1e-3"), "half a step",
+            at_load=False),
+    },
+    "test_evolve_pde_bad_inputs": {
+        f"{key}-{value}-{key}": _rejected(
+            "evolve", PDE_CFG.format(key=key, value=value), key)
+        for key, value in (("dt", "0"), ("dt", "-1e-3"), ("turnovers", "inf"),
+                           ("records", "0"))
+    },
+    "test_steady_non_finite_strength_exits_1": {None: _rejected(
+        "steady", "[grid]\nn = 32\n[vortex]\nkappa1 = inf\n[steady]\neps1 = 0.25\n"
+        "init = random\nresidual_tests = 0\n", "kappa1 must be finite")},
+    "test_non_finite_eps_exits_1": {
+        "steady_eps1": _rejected("steady", "[grid]\nn = 64\n[steady]\neps1 = inf\n",
+                                 "[steady] eps1: must be finite"),
+        "steady_eps2": _rejected(
+            "steady", "[grid]\nn = 64\n[steady]\neps1 = 0.15\neps2 = nan\n",
+            "[steady] eps2: must be finite"),
+        "evolve_eps1": _rejected(
+            "evolve", "[grid]\nn = 64\n[steady]\neps1 = nan\n[evolve]\nmode = pde\n",
+            "[steady] eps1: must be finite"),
+        "sweep_eps": _rejected("sweep", "[sweep]\neps = 0.15 inf\nn = 64\n",
+                               "[sweep] eps: must be finite"),
+    },
+    "test_point_vortex_non_finite_exits_1": {
+        "krmin_kappa1": _rejected("krmin", "[grid]\nn = 48\n[vortex]\nkappa1 = inf\n",
+                                  "finite"),
+        "pv_kappa2": _rejected(
+            "evolve", "[grid]\nn = 48\n[vortex]\nkappa2 = nan\n[evolve]\nmode = pv\n"
+            "positions = 0.4,0 ; -0.4,0\nT = 0.01\n", "finite"),
+        "pv_position": _rejected(
+            "evolve", "[grid]\nn = 48\n[evolve]\nmode = pv\n"
+            "positions = nan,0 ; -0.4,0\nT = 0.01\n", "finite"),
+    },
+    "test_solver_tol_rejected": {None: _rejected(
+        "steady", STEADY_CFG + "[solver]\ntol = 1e-11\n", "[solver] tol")},
+    "test_steady_max_iter_below_one": {None: _rejected(
+        "steady", STEADY_CFG + "max_iter = 0\n", "max_iter")},
+    "test_diagnose_rejects_zero_instances": {None: _rejected(
+        "diagnose", "[diagnose]\nn = 48\ninstances = 0\n", "instances must be >= 1")},
+}
 
 
-# -- the config table ---------------------------------------------------------
-
-@pytest.mark.parametrize("command, text, words", [
-    ("krmin", "[grid]\nn = 32\n[kr]\nmargin = 9\n[vortx]\nkappa1 = 3\n",
-     ["[kr] margin: unknown key", "did you mean [kr] margin_h?"]),
-    ("krmin", "[grid]\nn = 32\n[vortx]\nkappa1 = 3\n",
-     ["[vortx] kappa1: unknown section", "did you mean [vortex]?"]),
-    ("krmin", "[grid]\nn = 32\n[vortx]\n",
-     ["[vortx]: unknown section", "did you mean [vortex]?"]),
-    ("krmin", "[Grid]\nn = 32\n",
-     ["[Grid] n: unknown section", "did you mean [grid]?"]),
-    ("diagnose", "[DEFAULT]\nn = 40\n[diagnose]\nn = 32\ninstances = 5\n",
-     ["[DEFAULT] n: unknown section"]),
-    ("steady", STEADY_CFG + "[evolve]\ndelta0_rel = 0.5\n",
-     ["[evolve] delta0_rel: perturbation must satisfy"]),
-], ids=["key", "section", "empty_section", "section_case", "DEFAULT",
-        "other_command"])
-def test_config_rejected_by_name(tmp_path, capsys, command, text, words):
+def _check_rejected(tmp_path, capsys, case):
+    command, text, words, at_load = case
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"
     assert run([command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert all(w in err for w in words), err
-    assert not out.exists()
+    assert not out.exists() if at_load else not any(out.iterdir())
 
+
+def _rejection_test(cases):
+    """A new test function over `cases`, parametrized unless its one id is None."""
+    if list(cases) == [None]:
+        return lambda tmp_path, capsys: _check_rejected(tmp_path, capsys, cases[None])
+
+    @pytest.mark.parametrize("case", list(cases.values()), ids=list(cases))
+    def test(tmp_path, capsys, case):
+        _check_rejected(tmp_path, capsys, case)
+    return test
+
+
+# one table, and each case keeps the test id it has always had
+globals().update((name, _rejection_test(cases)) for name, cases in _REJECTED.items())
+
+
+# -- the config table ---------------------------------------------------------
 
 def test_config_keys_fold_case_and_every_section_loads(tmp_path):
     # one file may drive several commands, so any known key is accepted
@@ -627,11 +577,3 @@ def test_diagnose_output(tmp_path):
     assert payload["riesz"]["violations"] == 0
     assert payload["gradient_measure"]["growth"] <= 2.0
     assert len(payload["gradient_measure"]["radii"]) == 3
-
-
-def test_diagnose_rejects_zero_instances(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[diagnose]\nn = 48\ninstances = 0\n")
-    out = tmp_path / "o"
-    assert run(["diagnose", "--config", cfg, "--out", str(out)]) == 1
-    assert "instances must be >= 1" in capsys.readouterr().err
-    assert not (out / "diagnose.json").exists()

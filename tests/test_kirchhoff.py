@@ -565,17 +565,6 @@ def test_kr_gradient_is_central_difference_of_kr_value(case):
             assert grad[i, c] == fd
 
 
-def test_unsolvable_probe_coordinate_is_skipped():
-    # row 1 of a strip eight cells high: the down probe leaves the mask,
-    # so neither probe of y is solved and both read NaN
-    solver = vp.PoissonSolver(vp.build_grid(vp.DomainSpec.rectangle(1.4, 0.25), 32))
-    g = solver.grid
-    cells = np.array([g.index[1, 12], g.index[1, 35]])
-    w = kirchhoff._compass_values(solver, cells, np.array([1.0, -0.7]))
-    assert np.isfinite(w[:, :2]).all() and np.isnan(w[:, 2:]).all()
-    assert solver.solve_count == 2 + 4  # the cells and their x probes
-
-
 @pytest.mark.parametrize("kw", [dict(starts=0), dict(starts=-1), dict(max_iter=-1)])
 def test_kr_minimize_rejects_bad_starts_and_iterations(disk64, kw):
     with pytest.raises(ValueError, match="starts|max_iter"):
@@ -677,8 +666,6 @@ def test_kr_minimize_peak_is_the_final_store(monkeypatch):
 def test_scan_margin_floor(disk64, margin_h):
     with pytest.raises(ValueError, match="margin_h"):
         vp.kr_minimize(disk64, (1.0, -1.0), margin_h=margin_h)
-    with pytest.raises(ValueError, match="margin_h"):
-        kirchhoff.robin_scan_center(disk64, margin_h=margin_h)
 
 
 @pytest.mark.parametrize("margin_h", [2.5, 3.0, 5.99])
@@ -687,7 +674,6 @@ def test_kr_minimize_margin_covers_gradient_stencil(disk64, margin_h):
     # would stop on its first iteration, unpolished
     with pytest.raises(ValueError, match="margin_h must be >= 6"):
         vp.kr_minimize(disk64, (1.0, -1.0), margin_h=margin_h)
-    kirchhoff.robin_scan_center(disk64, margin_h=margin_h)  # the scan keeps > 2
 
 
 _SCAN_DOMAINS = [
@@ -718,3 +704,59 @@ def test_scan_lattice_matches_per_site_filter(which, margin_h):
     ref = [int(c) for c in lattice[lattice >= 0] if g.domain.boundary_distance(
         *map(float, g.cells_xy[c])) >= margin_h * g.h]
     assert kirchhoff._scan_lattice(solver, margin_h).tolist() == ref
+
+
+@functools.cache
+def _box_band(which, margin_h):
+    """Box cells (iy, ix) of a `_SCAN_DOMAINS` grid whose centers lie within
+    one cell of clearance margin_h cells, on or off the mask."""
+    g = _scan_solver(which).grid
+    x = g.x0 + (np.arange(g.nx) + 0.5) * g.h
+    y = g.y0 + (np.arange(g.ny) + 0.5) * g.h
+    clear = g.domain.boundary_distance(x[None, :], y[:, None]) / g.h
+    return np.argwhere(np.abs(clear - margin_h) <= 1.0)
+
+
+@st.composite
+def _clear_point(draw, margin_h):
+    """(grid, x, y) with (x, y) at least margin_h cells clear of the boundary,
+    drawn from the cells near that clearance, where a miss would show."""
+    which = draw(st.integers(0, len(_SCAN_DOMAINS) - 1))
+    g = _scan_solver(which).grid
+    band = _box_band(which, margin_h)
+    iy, ix = band[draw(st.integers(0, len(band) - 1))]
+    x = g.x0 + (ix + draw(st.floats(0.0, 1.0, exclude_max=True))) * g.h
+    y = g.y0 + (iy + draw(st.floats(0.0, 1.0, exclude_max=True))) * g.h
+    assume(g.domain.boundary_distance(x, y) >= margin_h * g.h)
+    return g, x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clear_point(4.0))
+def test_value_margin_locates_to_mask_cells(case):
+    # `_snapped_cells` trusts this for every margin of 4h or more
+    g, x, y = case
+    assert g.locate(x, y) >= 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clear_point(6.0))
+def test_gradient_margin_keeps_compass_probes_on_the_mask(case):
+    # `_compass_values` trusts this for the cells of points 6h clear
+    g, x, y = case
+    assert (g.compass(np.atleast_1d(g.locate(x, y)), 2) >= 0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, len(_SCAN_DOMAINS) - 1), st.floats(0.1, 0.3),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_residual_cone_has_a_slope_on_its_square(which, r, u, v):
+    # `steadiness_residual` divides by this max: its test bumps have radius
+    # 0.1 to 0.3 and clear the boundary, as `draw_disk` draws them
+    g = _scan_solver(which).grid
+    xlo, ylo, xhi, yhi = g.domain.bounding_box()
+    c = (xlo + u * (xhi - xlo), ylo + v * (yhi - ylo))
+    assume(g.domain.boundary_distance(*c) >= r)
+    cells = g.square_cells(c, r)
+    _, gx, gy = vp.cone_test_function(g, c, r, cells=cells)
+    assert np.hypot(gx, gy).max() > 0.0

@@ -13,8 +13,12 @@ Over the K pairs this prints, per metric: the median and quartiles of
 the K values on each side, the pairs the change won (strictly better),
 the relative change of the medians, (change - parent) / |parent|,
 whether that change is worse than the metric's bound in this
-checkout's BENCHMARK.json, and whether a claimed gain on the metric
-would be met (`claim_met`; never below ten pairs).  Failed and
+checkout's BENCHMARK.json (`WORSE`, else `ok`), and whether a claimed
+gain on the metric would be met (`claim_met`; never below ten pairs).
+A metric not worse is `unresolved` instead of `ok` when the parent's
+own spread, (q3 - q1) / |median|, exceeds the bound, unless every run
+of the change beats every run of the parent: the bound cannot be told
+apart from noise that wide.  Failed and
 attempted runs are summed per side, and each pair's load averages
 (1/5/15 min, before -> after each side's run, from its `# env` line)
 are listed, so a drift in the host's load shows.
@@ -82,6 +86,7 @@ class Summary(NamedTuple):
     quartiles: tuple
     parent_quartiles: tuple
     gain: float  # parent median - change median, positive when better
+    beats_all: bool  # every change run better than every parent run
 
 
 def _summary(sides: dict, metric: dict) -> Summary | None:
@@ -96,7 +101,8 @@ def _summary(sides: dict, metric: dict) -> Summary | None:
     new, old = [p[0] for p in pairs], [p[1] for p in pairs]
     mn, mo = statistics.median(new), statistics.median(old)
     return Summary(len(pairs), sum(sign * (b - a) > 0 for a, b in pairs),
-                   mn, mo, _quartiles(new), _quartiles(old), sign * (mo - mn))
+                   mn, mo, _quartiles(new), _quartiles(old), sign * (mo - mn),
+                   max(sign * a for a in new) < min(sign * b for b in old))
 
 
 MIN_PAIRS = 10
@@ -144,13 +150,20 @@ def compare(workload: str, sides: dict, bounds: list[dict]) -> bool:
         worse = (change if m["better"] == "lower" else -change) > m["bound"]
         worse_any |= worse
         (n1, n3), (o1, o3) = s.quartiles, s.parent_quartiles
+        spread = (o3 - o1) / abs(mo) if mo else (math.inf if o3 > o1 else 0.0)
+        if worse:
+            verdict = "WORSE"
+        elif spread > m["bound"] and not s.beats_all:
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
         claim = "met" if _met(s) else "not met"
         if s.pairs < MIN_PAIRS:
             claim += f" ({s.pairs} pairs, need {MIN_PAIRS})"
         print(f"#   {key:12s} change {mn:.6g} [{n1:.6g}, {n3:.6g}]  "
               f"parent {mo:.6g} [{o1:.6g}, {o3:.6g}]  "
               f"won {s.wins}/{s.pairs}  rel {change:+.3e}  "
-              f"bound {m['bound']:.0%}: {'WORSE' if worse else 'ok'}  "
+              f"bound {m['bound']:.0%}: {verdict}  "
               f"claim {claim}")
     return worse_any
 
