@@ -27,8 +27,10 @@ evaluation paths coexist on purpose:
   differences of snapped solves would bury both in cell noise.  One
   evaluator returns W and its exact gradient, from the closed-form
   quintic weights and their derivatives: one weight array per point
-  serves both tables, node indices are clamped per axis to the table
-  (`mode="nearest"`), and each table is read with one gather.
+  serves both tables, node indices are clamped per axis to the table,
+  and each table is read with one gather.  The coefficients (mirror
+  ends) and the nearest-site fill are plain numpy: scipy's image module
+  cost every process 0.1 s and 5 MB to import, for three calls here.
 
 Positions handed to the solve-backed functions are snapped to the
 containing cell; margins (4h for values, 6h for gradients and descent)
@@ -47,7 +49,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .poisson import LOG_COEFF, PoissonSolver, robin_solve
 
@@ -63,6 +64,7 @@ _STRIDE = 8  # spacing of the scan and table lattices, in cells
 # of it and its work array are live at once, so peak memory grows with it
 _BLOCK = 8
 _ROWS = 64  # scan-table rows built at a time: 1.5 MB at n=256, not 75 MB whole
+_SLAB = 1 << 14  # table entries the prefilter transforms at a time: 128 kB
 # values tie within this tolerance, relative to max(1, |value|); a tie is broken
 # by order (flat id, start order, site order), not by last bits, so a symmetric
 # domain's mirror-image minima come out the same whatever the solves' rounding
@@ -420,7 +422,8 @@ class _KRInterpolant:
     call computes each point's 36 tensor weights for the value and both
     slopes once and contracts both tables with them.  The tables are
     not padded: node indices are clamped per axis to [0, mx - 1] and
-    [0, my - 1], as `mode="nearest"` does.
+    [0, my - 1].  `_prefilter` mirrors the data about the end nodes, and
+    `_nearest_valid` ties to the lower second index, then the lower first.
     """
 
     def __init__(self, solver: PoissonSolver):
@@ -445,11 +448,9 @@ class _KRInterpolant:
         near = np.full((mx, my), -1)
         near[valid] = np.arange(r.size)
         if not valid.all():
-            near = near[tuple(ndimage.distance_transform_edt(
-                ~valid, return_distances=False, return_indices=True))]
-        self._H = ndimage.spline_filter(store.H[r][near], order=5)
-        t = hv[near[:, :, None, None], near[None, None, :, :]]
-        self._h4 = ndimage.spline_filter(t, order=5, output=t)  # in place
+            near = near[_nearest_valid(valid)]
+        self._H = _prefilter(store.H[r][near])
+        self._h4 = _prefilter(hv[near[:, :, None, None], near[None, None, :, :]])
         self.trust_margin = 1.5 * _STRIDE * g.h
         self._du = 1.0 / (_STRIDE * g.h)  # d(table coordinate)/dx
         self._origin = np.array([g.x0, g.y0]) + (0.5 + _STRIDE // 2) * g.h  # node 0
@@ -485,6 +486,39 @@ class _KRInterpolant:
             at = np.arange(k)[:, None]
             self._pair_cache[k] = i, j, (at == i).astype(float), (at == j).astype(float)
         return self._pair_cache[k]
+
+
+def _nearest_valid(valid: np.ndarray):
+    """Index arrays (i, j) of each node's nearest valid node (itself if valid),
+    ties to the lower j, then the lower i.  Candidates are the valid nodes with
+    an invalid 4-neighbour: any other has a valid neighbour nearer the query."""
+    bad = np.pad(~valid, 1)  # nodes off the box have no invalid neighbour
+    edge = valid & (bad[:-2, 1:-1] | bad[2:, 1:-1] | bad[1:-1, :-2] | bad[1:-1, 2:])
+    cj, ci = np.nonzero(edge.T)  # ordered by j, then i: argmin keeps the first
+    qi, qj = np.nonzero(~valid)
+    k = ((qi[:, None] - ci) ** 2 + (qj[:, None] - cj) ** 2).argmin(1)
+    i, j = np.indices(valid.shape)
+    i[qi, qj], j[qi, qj] = ci[k], cj[k]
+    return i, j
+
+
+def _prefilter(a: np.ndarray) -> np.ndarray:
+    """Quintic B-spline coefficients of the C-contiguous node data `a`, in place:
+    each axis times A^-1, where row i of A holds the taps (1, 26, 66, 26, 1) / 120
+    at nodes i - 2 .. i + 2 folded by j -> -j and j -> 2(m - 1) - j (whole-sample
+    mirror ends), `_SLAB` entries at a time, so no copy of a 4-D table is made."""
+    for axis, m in enumerate(a.shape):
+        j = np.abs(np.arange(m)[:, None] + np.arange(-2, 3))
+        j = np.minimum(j, 2 * (m - 1) - j)[..., None] == np.arange(m)  # (row, tap, node)
+        inv = 120.0 * np.linalg.inv(np.array([1, 26, 66, 26, 1]) @ j)
+        v = a.reshape(-1, m, math.prod(a.shape[axis + 1:]))  # a view
+        dq = min(v.shape[2], _SLAB // m)
+        dp = _SLAB // (m * dq)
+        for p in range(0, v.shape[0], dp):
+            for q in range(0, v.shape[2], dq):
+                s = v[p:p + dp, :, q:q + dq]
+                s[...] = np.tensordot(inv, s, (1, 1)).swapaxes(0, 1)
+    return a
 
 
 # cardinal quintic B-spline weights of the nodes floor(u) - 2 .. floor(u) + 3 (rows)

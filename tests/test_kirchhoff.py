@@ -1,8 +1,12 @@
 import functools
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ import vortexpair as vp
 from vortexpair import kirchhoff
 from vortexpair.poisson import LOG_COEFF, robin_solve
 
-from conftest import counting_solver
+from conftest import BOX_DOMAINS, counting_solver
 
 D_STAR = np.sqrt(np.sqrt(5.0) - 2.0)  # root of d^4 + 4 d^2 - 1 = 0
 
@@ -250,24 +254,52 @@ def test_pv_steps_check_clearance_without_locating(disk96, monkeypatch):
 # -- spline surrogate: one evaluator for W and its gradient -----------------
 
 @functools.cache
+def _interp64_solver():
+    return fresh_disk64()
+
+
+@functools.cache
 def _interp64():
-    solver = fresh_disk64()
+    solver = _interp64_solver()
     return kirchhoff._store(solver).interpolant(solver)
 
 
-def _map_coordinates_value(interp, pts, kap):
-    """W from `ndimage.map_coordinates` on the interpolant's coefficient tables."""
-    g, stride = interp.grid, kirchhoff._STRIDE
+def _map_coordinates_value(tables, pts, kap, **kw):
+    """W from `ndimage.map_coordinates(order=5, **kw)` on the disk-64 tables
+    (H, h), and whether every point's spline stencil lies inside them."""
+    H, h4 = tables
+    g, stride = _G64, kirchhoff._STRIDE
     u = ((pts - [g.x0, g.y0]) / g.h - 0.5 - stride // 2) / stride
-    spline = functools.partial(ndimage.map_coordinates, order=5, prefilter=False,
-                               mode="nearest")
-    w = 0.5 * float((kap ** 2 * spline(interp._H, u.T)).sum())
+    spline = functools.partial(ndimage.map_coordinates, order=5, **kw)
+    w = 0.5 * float((kap ** 2 * spline(H, u.T)).sum())
     for i in range(kap.size):
         for j in range(i + 1, kap.size):
             d = float(np.hypot(*(pts[i] - pts[j])))
-            hr = float(spline(interp._h4, np.concatenate([u[i], u[j]])[:, None])[0])
+            hr = float(spline(h4, np.concatenate([u[i], u[j]])[:, None])[0])
             w -= kap[i] * kap[j] * (-LOG_COEFF * math.log(d) - hr)
-    return w
+    return w, bool(((np.floor(u) >= 2) & (np.floor(u) + 3 <= np.array(H.shape) - 1)).all())
+
+
+@functools.cache
+def _raw_tables64():
+    """The disk-64 interpolant's H and h tables before the prefilter, masked-out
+    nodes filled from `distance_transform_edt`'s nearest valid node."""
+    solver = _interp64_solver()
+    g = solver.grid
+    cid, clear = kirchhoff._lattice(g)
+    valid = (cid >= 0) & (clear >= 4.0 * g.h)
+    store = kirchhoff._store(solver)
+    r = store.rows(solver, cid[valid])
+    site = np.full(cid.shape, -1)
+    site[valid] = np.arange(r.size)
+    site = site[tuple(ndimage.distance_transform_edt(
+        ~valid, return_distances=False, return_indices=True))]
+    px, py = g.cells_xy[cid[valid]].T
+    d = np.hypot(px[:, None] - px, py[:, None] - py)
+    np.fill_diagonal(d, 1.0)
+    h = -LOG_COEFF * np.log(d) - store.G[np.ix_(r, r)]  # h(x, y) = -log|x - y| / 2 pi - G
+    np.fill_diagonal(h, store.H[r])
+    return store.H[r][site], h[site[:, :, None, None], site]
 
 
 # radii up to 0.8 reach the trust margin (12h on disk-64); a point with a
@@ -282,6 +314,7 @@ _strength = st.tuples(st.floats(0.25, 2.0), st.booleans())
     st.lists(_strength, min_size=k, max_size=k))))
 @example(([(0.78, np.pi), (0.3, 0.5)], [(1.0, False), (1.5, True)]))
 @example(([(0.79, 0.0), (0.79, 0.5 * np.pi)], [(2.0, False), (0.5, False)]))
+@example(([(0.3, 0.5), (0.45, 2.0), (0.2, 4.0)], [(1.0, False), (1.5, True), (0.5, False)]))
 def test_surrogate_value_and_gradient(case):
     polar, strengths = case
     pts = np.array([[r * np.cos(t), r * np.sin(t)] for r, t in polar])
@@ -291,8 +324,14 @@ def test_surrogate_value_and_gradient(case):
     assume(all(np.hypot(*(pts[i] - pts[j])) >= 4.0 * _G64.h
                for i in range(k) for j in range(i + 1, k)))
     w, grad = interp.value_and_gradient(pts, kap)
-    ref = _map_coordinates_value(interp, pts, kap)
+    ref, _ = _map_coordinates_value((interp._H, interp._h4), pts, kap,
+                                    prefilter=False, mode="nearest")
     assert abs(w - ref) <= 1e-14 * max(1.0, abs(w))
+    # the whole table build against ndimage's, from the raw tables; past the
+    # table's edge the prefilter's mirror ends and the clamped nodes part ways
+    ref, inside = _map_coordinates_value(_raw_tables64(), pts, kap,
+                                         prefilter=True, mode="mirror")
+    assert not inside or abs(w - ref) <= 1e-13 * max(1.0, abs(w))
     eps = 1e-5 * _G64.h * kirchhoff._STRIDE
     for i in range(k):
         for c in range(2):
@@ -315,7 +354,7 @@ _WEIGHTS = np.vstack([_QUINTIC, np.pad(_QUINTIC[:, 1:] * range(1, 6), [(0, 0), (
 
 def _spline(C: np.ndarray, u: np.ndarray):
     """Value (n,) and u-gradient (n, d) at points u (n, d) of the quintic spline with
-    `spline_filter` coefficients C, node indices clamped as `mode="nearest"` does."""
+    coefficients C, node indices clamped to C's shape."""
     n, d = u.shape
     f = np.floor(u)
     wts = ((u - f)[..., None] ** np.arange(6) @ _WEIGHTS).reshape(n, d, 2, 6)
@@ -382,7 +421,7 @@ def test_value_and_gradient_matches_reference(case):
 
 
 def test_value_and_gradient_reads_tables_in_place():
-    """The tables keep their `spline_filter` shapes and a call copies no table:
+    """The tables keep the lattice's shapes and a call copies no table:
     one call's live arrays are the 4-D gather's index and block (3 x 1296
     entries each, 31 kB at k = 3) plus numpy's buffer for the broadcast index
     sum; one copy of the 16^4 table would be 512 kB."""
@@ -420,6 +459,66 @@ def test_interpolant_build_holds_one_4d_table():
         tracemalloc.stop()
     assert interp._h4.shape == (32,) * 4
     assert peak < 2 * interp._h4.nbytes
+
+
+# -- the table build's numpy kernels against scipy.ndimage -----------------
+
+_small = st.integers(6, 12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.tuples(st.integers(6, 64), st.integers(6, 64)),
+                 st.tuples(st.integers(6, 64), _small, _small, _small).flatmap(
+                     lambda t: st.permutations(t).map(tuple))),
+       st.integers(0, 2 ** 32 - 1))
+@example((64, 64), 0)
+@example((6, 64, 12, 12), 1)  # a slab spans part of a row of axis 1
+def test_prefilter_matches_spline_filter(shape, seed):
+    a = np.random.default_rng(seed).standard_normal(shape)
+    ref = ndimage.spline_filter(a, order=5)
+    out = kirchhoff._prefilter(a)
+    assert out is a
+    assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_prefilter_holds_one_4d_table():
+    """The prefilter works in place with a transient under a quarter of the
+    table: at m = 32 (8 MB) a whole-table temporary would fail this."""
+    a = np.random.default_rng(0).standard_normal((32,) * 4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kirchhoff._prefilter(a)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 4
+
+
+@pytest.mark.parametrize("n", [32, 48, 64, 96, 128, 256, 384])
+@pytest.mark.parametrize("dom", BOX_DOMAINS, ids=["disk", "rectangle", "pentagon"])
+def test_nearest_valid_matches_edt_fill(dom, n):
+    g = vp.build_grid(dom, n)
+    cid, clear = kirchhoff._lattice(g)
+    valid = (cid >= 0) & (clear >= 4.0 * g.h)
+    assert valid.any() and not valid.all()
+    ref = ndimage.distance_transform_edt(~valid, return_distances=False,
+                                         return_indices=True)
+    got = kirchhoff._nearest_valid(valid)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_package_import_loads_no_ndimage():
+    """Importing the package and its CLI loads no scipy.ndimage module: its
+    import cost about 0.1 s and 5 MB in every process."""
+    code = ("import sys, vortexpair, vortexpair.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))")
+    src = str(Path(vp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # -- Green store properties -------------------------------------------------
@@ -707,14 +806,24 @@ def test_scan_lattice_matches_per_site_filter(which, margin_h):
 
 
 @functools.cache
-def _box_band(which, margin_h):
-    """Box cells (iy, ix) of a `_SCAN_DOMAINS` grid whose centers lie within
-    one cell of clearance margin_h cells, on or off the mask."""
+def _box_clearance(which):
+    """Boundary clearance, in cells, of every box cell center (iy, ix) of a
+    `_SCAN_DOMAINS` grid, on or off the mask."""
     g = _scan_solver(which).grid
     x = g.x0 + (np.arange(g.nx) + 0.5) * g.h
     y = g.y0 + (np.arange(g.ny) + 0.5) * g.h
-    clear = g.domain.boundary_distance(x[None, :], y[:, None]) / g.h
-    return np.argwhere(np.abs(clear - margin_h) <= 1.0)
+    return g.domain.boundary_distance(x[None, :], y[:, None]) / g.h
+
+
+def _draw_clear(draw, which, margin, cells):
+    """(grid, x, y), (x, y) uniform in one of the box `cells` (iy, ix) of a
+    `_SCAN_DOMAINS` grid and at least `margin` (a length) clear of the boundary."""
+    g = _scan_solver(which).grid
+    iy, ix = cells[draw(st.integers(0, len(cells) - 1))]
+    x = g.x0 + (ix + draw(st.floats(0.0, 1.0, exclude_max=True))) * g.h
+    y = g.y0 + (iy + draw(st.floats(0.0, 1.0, exclude_max=True))) * g.h
+    assume(g.domain.boundary_distance(x, y) >= margin)
+    return g, x, y
 
 
 @st.composite
@@ -722,13 +831,20 @@ def _clear_point(draw, margin_h):
     """(grid, x, y) with (x, y) at least margin_h cells clear of the boundary,
     drawn from the cells near that clearance, where a miss would show."""
     which = draw(st.integers(0, len(_SCAN_DOMAINS) - 1))
-    g = _scan_solver(which).grid
-    band = _box_band(which, margin_h)
-    iy, ix = band[draw(st.integers(0, len(band) - 1))]
-    x = g.x0 + (ix + draw(st.floats(0.0, 1.0, exclude_max=True))) * g.h
-    y = g.y0 + (iy + draw(st.floats(0.0, 1.0, exclude_max=True))) * g.h
-    assume(g.domain.boundary_distance(x, y) >= margin_h * g.h)
-    return g, x, y
+    band = np.argwhere(np.abs(_box_clearance(which) - margin_h) <= 1.0)
+    return _draw_clear(draw, which, margin_h * _scan_solver(which).grid.h, band)
+
+
+@st.composite
+def _clear_disk(draw):
+    """(grid, center, r), r in [0.1, 0.3] and the center r clear of the boundary,
+    drawn from every box cell that can hold such a center: clearance is
+    1-Lipschitz, so its center is at most h/sqrt(2) less clear."""
+    which = draw(st.integers(0, len(_SCAN_DOMAINS) - 1))
+    r = draw(st.floats(0.1, 0.3))
+    cells = np.argwhere(_box_clearance(which) >= r / _scan_solver(which).grid.h - 1.0)
+    g, x, y = _draw_clear(draw, which, r, cells)
+    return g, (x, y), r
 
 
 @settings(max_examples=200, deadline=None)
@@ -748,15 +864,11 @@ def test_gradient_margin_keeps_compass_probes_on_the_mask(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, len(_SCAN_DOMAINS) - 1), st.floats(0.1, 0.3),
-       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_residual_cone_has_a_slope_on_its_square(which, r, u, v):
+@given(_clear_disk())
+def test_residual_cone_has_a_slope_on_its_square(case):
     # `steadiness_residual` divides by this max: its test bumps have radius
     # 0.1 to 0.3 and clear the boundary, as `draw_disk` draws them
-    g = _scan_solver(which).grid
-    xlo, ylo, xhi, yhi = g.domain.bounding_box()
-    c = (xlo + u * (xhi - xlo), ylo + v * (yhi - ylo))
-    assume(g.domain.boundary_distance(*c) >= r)
+    g, c, r = case
     cells = g.square_cells(c, r)
     _, gx, gy = vp.cone_test_function(g, c, r, cells=cells)
     assert np.hypot(gx, gy).max() > 0.0
